@@ -60,7 +60,6 @@ Output schema (``BENCH_training.json``)::
       "arena": {                       # measured by the dataflow recorder
         "budgets": {family: {"tape_arena_bytes": int,     # RP604 budget
                              "peak_tape_bytes": int,
-                             "inference_arena_bytes": int,
                              "values": int}},
         "per_round": {family: {round: {"buffers": int, "bytes": int}}}
       },
@@ -468,7 +467,6 @@ def measure_arena() -> dict:
         budgets[family] = {
             "tape_arena_bytes": stats["tape_arena_bytes"],
             "peak_tape_bytes": stats["peak_tape_bytes"],
-            "inference_arena_bytes": stats["inference_arena_bytes"],
             "values": stats["values"],
         }
         per_round[family] = stats["rounds"]
@@ -563,8 +561,7 @@ def main(argv=None) -> int:
     print("recording per-family tape arenas ...", flush=True)
     arena = measure_arena()
     for family, budget in arena["budgets"].items():
-        print(f"  {family}: tape arena {budget['tape_arena_bytes']} B  "
-              f"inference arena {budget['inference_arena_bytes']} B",
+        print(f"  {family}: tape arena {budget['tape_arena_bytes']} B",
               flush=True)
 
     report = {

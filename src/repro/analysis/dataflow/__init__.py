@@ -12,9 +12,7 @@ message-passing round.  On top of that graph:
   (RP604);
 * the arena planner (:mod:`~repro.analysis.dataflow.arena`) colors the
   liveness interval graph into a verified offset layout whose proof ships
-  in the driver's JSON payload, and whose inference twin
-  (:func:`repro.core.plan.inference_arena_intervals`) backs the serving
-  fast path's buffers.
+  in the driver's JSON payload and whose size is RP604's budget.
 """
 
 from .arena import ArenaPlan, ArenaPlanError, BufferInterval, plan_arena

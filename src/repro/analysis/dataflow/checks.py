@@ -16,10 +16,9 @@ real fused forward+backward (:func:`record_fused_step`), then discharges:
   recorded tape outgrew the committed per-family budget in
   ``BENCH_training.json``.
 
-It also emits the verified :class:`~repro.analysis.dataflow.arena.ArenaPlan`
-per family — both the training-tape plan and the inference plan that
-:mod:`repro.serving.fastpath` executes — as the ``--format json`` payload's
-``dataflow`` section (uploaded as a CI artifact).
+It also emits the verified training-tape
+:class:`~repro.analysis.dataflow.arena.ArenaPlan` per family as the
+``--format json`` payload's ``dataflow`` section (uploaded as a CI artifact).
 """
 
 from __future__ import annotations
@@ -166,7 +165,6 @@ def run_dataflow(
         artifact.
     """
     from ...core import HyperParams, RouteNet
-    from ...core.plan import inference_arena_intervals, plan_for
 
     if families is None:
         families = paper_signatures()
@@ -187,19 +185,12 @@ def run_dataflow(
         findings.extend(check_tape(step, family))
 
         tape_plan = tape_arena_plan(step.graph)
-        infer_plan = plan_arena(
-            inference_arena_intervals(model, plan_for(inputs))
-        )
-        payload["arena_plans"][family] = {
-            "tape": tape_plan.to_json(),
-            "inference": infer_plan.to_json(),
-        }
+        payload["arena_plans"][family] = {"tape": tape_plan.to_json()}
         stats = {
             "values": len(step.graph.values),
             "program_points": step.graph.num_points,
             "peak_tape_bytes": step.graph.peak_bytes(),
             "tape_arena_bytes": tape_plan.total_bytes,
-            "inference_arena_bytes": infer_plan.total_bytes,
             "rounds": step.graph.round_stats(),
         }
         payload["families"][family] = stats

@@ -28,7 +28,7 @@ __all__ = ["EffectSummary", "effect_summaries"]
 #: (interpreter-wide switches with documented save/restore discipline).
 #: ``Tensor`` is here because :func:`repro.analysis.sanitize.sanitize_tape`
 #: swaps ``Tensor._make`` for the duration of a ``with`` block and restores
-#: it in ``finally`` — the same no_grad-style contract as ``_GRAD_ENABLED``;
+#: it in ``finally`` — the same no_grad-style contract as ``_GRAD_MODE``;
 #: without the exemption every spawn-reachable *read* of the class (all of
 #: ``repro.nn``) would be flagged as depending on mutated global state.
 #: ``repro.tsan`` is the concurrency-checker instrumentation seam:
@@ -37,7 +37,7 @@ __all__ = ["EffectSummary", "effect_summaries"]
 #: on every lock construction — without the exemption every
 #: spawn-reachable ``tsan.make_lock()`` call would be flagged.
 _EXEMPT_GLOBALS = {
-    ("repro.nn.tensor", "_GRAD_ENABLED"),
+    ("repro.nn.tensor", "_GRAD_MODE"),
     ("repro.nn.tensor", "Tensor"),
     ("repro", "tsan"),
     ("repro.tsan", "make_lock"),

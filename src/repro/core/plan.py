@@ -1,252 +1,126 @@
-"""Precomputed gather/segment index plans for the RouteNet forward pass.
+"""Length-packed index plans for the RouteNet forward pass.
 
-``RouteNet.forward`` is shape-polymorphic: every call used to re-derive the
-same index-only quantities from ``ModelInput`` — the padding-safe gather
-indices (``safe_idx``), the per-timestep active-path masks, and the
-early-break length (the first timestep where every path has ended).  None of
-those depend on the model weights, only on the input's path-link incidence,
-so for a cached input (every training epoch after the first, every fused
-batch replayed from the trainer's :class:`~repro.serving.InputCache`) the
-work is pure waste.
+RouteNet's path update runs a recurrent cell along every path, one link per
+timestep.  Paths have different lengths, so at timestep ``t`` only the paths
+longer than ``t`` are live.  :func:`build_plan` stably sorts the paths by
+length, descending: the live rows at every timestep are then a contiguous
+prefix ``[:n_t]`` of the sorted order, and the forward runs the cell on
+that prefix alone — the packed layout of ragged sequences (PyTorch's
+``pack_padded_sequence``; the path sequences of RouteNet-Fermi).  This
+module is the only one that knows the order: the plan carries the
+permutation, its inverse and, per timestep, the prefix length, the prefix's
+link ids and the scatter schedule of the message aggregation.
 
-:func:`plan_for` memoizes one :class:`ForwardPlan` per live ``ModelInput``.
-The memo is keyed by ``id`` but guarded by a weak reference — the same
-pattern as :class:`repro.serving.InputCache`'s digest memo — so a recycled
-id can never serve a stale plan, and dead entries evict themselves.
+None of that depends on the model weights, only on the input's path-link
+incidence, so for a cached input (every training epoch after the first,
+every fused batch replayed from the trainer's
+:class:`~repro.serving.InputCache`) it is built once.  :func:`plan_for`
+memoizes one :class:`ForwardPlan` per live ``ModelInput``.  The memo is
+keyed by ``id`` but guarded by a weak reference — the same pattern as
+:class:`repro.serving.InputCache`'s digest memo — so a recycled id can never
+serve a stale plan, and dead entries evict themselves.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ModelError
 from ..nn.ops import ScatterPlan, make_scatter_plan
 from .features import ModelInput
 
-__all__ = [
-    "ForwardPlan",
-    "PlanStep",
-    "InferenceArena",
-    "adopt_plan",
-    "build_plan",
-    "plan_for",
-    "inference_arena_intervals",
-]
+__all__ = ["ForwardPlan", "PlanStep", "adopt_plan", "build_plan", "plan_for"]
 
 
 @dataclass(frozen=True)
 class PlanStep:
-    """Index state for one message-passing timestep.
+    """Index state for one message-passing timestep, in packed row order.
 
     Attributes:
-        safe_ids: (P,) gather indices with padding mapped to link 0.
-        active_col: (P, 1) bool — which paths still traverse a link here
-            (column view of the input mask, broadcastable over states).
-        ids: (P,) raw link ids, -1 on padding (``segment_sum`` drops those).
-        gather_plan: scatter schedule for the link-state gather's backward
-            (grouped by ``safe_ids``).
-        scatter_plan: scatter schedule for the message aggregation
-            (grouped by ``ids``; padding rows dropped).
-        all_active: every path traverses a link at this timestep, so the
-            masked select is the identity and the forward pass skips it.
+        ids: (n,) link id each live path traverses here (never -1); the
+            live paths are the packed rows ``[:n]``.
+        plan: Scatter schedule over ``ids`` for the message aggregation and
+            for the backward of the link-state gather.  Each bucket lists
+            its members in *original* path order, so the aggregation sums
+            exactly the terms the unpacked layout summed, in the same order.
     """
 
-    safe_ids: np.ndarray
-    active_col: np.ndarray
     ids: np.ndarray
-    gather_plan: ScatterPlan
-    scatter_plan: ScatterPlan
-    all_active: bool
+    plan: ScatterPlan
+
+    @property
+    def n(self) -> int:
+        """Live paths at this timestep."""
+        return int(self.ids.shape[0])
 
 
 @dataclass(frozen=True)
 class ForwardPlan:
     """Everything index-shaped that a forward pass consumes.
 
-    ``steps`` already applies the early break: it stops at the first
-    timestep with no active path, exactly like the old per-call
-    ``if not active.any(): break``.
+    ``steps`` stops at the first timestep with no live path.
+
+    Attributes:
+        perm: (P,) original path index of each packed row (a stable sort by
+            path length, descending).
+        inv: (P,) packed row of each original path (``perm``'s inverse).
+        unpack_plan: Scatter schedule of the gather by ``inv`` that restores
+            the original order (its backward is a permutation).
+        steps: One :class:`PlanStep` per timestep.
     """
 
-    safe_idx: np.ndarray  # (P, max_len) intp, padding mapped to 0
+    perm: np.ndarray
+    inv: np.ndarray
+    unpack_plan: ScatterPlan
     steps: tuple[PlanStep, ...]
-    num_links: int = 0
-    #: Per-model-geometry :class:`InferenceArena` cache.  A mutable field on
-    #: a frozen dataclass is fine: the *binding* never changes, only the
-    #: dict contents, and the plan's identity/hash ignore it.
-    _arenas: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def num_steps(self) -> int:
         return len(self.steps)
 
-    @property
-    def num_paths(self) -> int:
-        return int(self.safe_idx.shape[0])
-
-    def arena_for(self, model: "object") -> "InferenceArena":
-        """The (cached) preallocated execution arena for ``model``'s dims.
-
-        The arena depends only on the model *geometry* (cell type, state
-        widths, round count) and this plan's path/link counts, so models
-        sharing a geometry share the arena; its lock serializes them.
-        """
-        key = _arena_key(model)
-        arena = self._arenas.get(key)
-        if arena is None:
-            arena = InferenceArena.build(model, self)
-            self._arenas[key] = arena
-        return arena
-
-
-def _arena_key(model: "object") -> tuple:
-    hp = model.hparams
-    return (
-        type(model.path_cell).__name__,
-        str(model.path_cell.w.data.dtype),
-        hp.link_state_dim,
-        hp.path_state_dim,
-        hp.message_passing_steps,
-    )
-
-
-def _gates_width(model: "object") -> int:
-    """Columns of the path cell's input projection (3H for GRU, H for RNN)."""
-    return int(model.path_cell.w.data.shape[1])
-
-
-def inference_arena_intervals(model: "object", plan: "ForwardPlan") -> list:
-    """Liveness intervals of the serving fast path's state buffers.
-
-    The inference timeline is a simple clock: point ``0`` runs the
-    embeddings, then round ``r`` computes the gate projection at point
-    ``2r + 1`` (the timestep loop reads and rewrites ``h_path`` there) and
-    the link update at point ``2r + 2``; the readout runs last.  The final
-    round's message aggregation and link update are dead (the readout
-    consumes path states only — see RP602) and get no buffers, which is
-    what keeps the peak flat in the round count:
-
-    * ``h_path`` — live for the whole pass;
-    * ``h_link/r`` — defined by round ``r-1``'s link update (the embedding
-      for ``r=0``), last read by round ``r``'s projection and link update;
-    * ``gx/r`` — the gate projection, live only during round ``r``'s
-      timestep loop;
-    * ``msg/r`` — the aggregation buffer, live from the timestep loop to
-      the link update (absent for the last round).
-
-    Returns:
-        ``BufferInterval`` list for :func:`repro.analysis.dataflow.arena.
-        plan_arena`; consecutive ``h_link``/``gx``/``msg`` generations get
-        disjoint live ranges, so coloring reuses their bytes automatically.
-    """
-    from ..analysis.dataflow.arena import BufferInterval
-
-    hp = model.hparams
-    rounds = hp.message_passing_steps
-    # Slot sizes follow the model's parameter dtype — the engine decides
-    # precision, the arena just carves bytes to match.
-    itemsize = model.path_cell.w.data.itemsize
-    link_bytes = plan.num_links * hp.link_state_dim * itemsize
-    path_bytes = plan.num_paths * hp.path_state_dim * itemsize
-    gx_bytes = plan.num_links * _gates_width(model) * itemsize
-    msg_bytes = plan.num_links * hp.path_state_dim * itemsize
-
-    intervals = [
-        BufferInterval("h_path", path_bytes, 0, 2 * rounds + 1),
-    ]
-    for r in range(rounds):
-        last = r == rounds - 1
-        intervals.append(BufferInterval(
-            f"h_link/{r}", link_bytes, 2 * r, 2 * r + (1 if last else 2)
-        ))
-        intervals.append(BufferInterval(f"gx/{r}", gx_bytes, 2 * r + 1, 2 * r + 1))
-        if not last:
-            intervals.append(
-                BufferInterval(f"msg/{r}", msg_bytes, 2 * r + 1, 2 * r + 2)
-            )
-    return intervals
-
-
-class InferenceArena:
-    """One backing allocation carved into the fast path's state buffers.
-
-    Built from the verified :class:`~repro.analysis.dataflow.arena.
-    ArenaPlan` over :func:`inference_arena_intervals`: every named view is
-    placed at its proved offset, so buffers whose live ranges never overlap
-    share bytes and the allocation stays flat no matter how many
-    message-passing rounds run.
-
-    Thread safety: the arena is shared state.  :meth:`acquire` hands out
-    exclusive use via a non-blocking lock — callers that lose the race run
-    the unplanned (allocation-per-call) path instead, which is bitwise
-    identical, so correctness never depends on winning.
-    """
-
-    def __init__(self, plan: "object", views: dict[str, np.ndarray]) -> None:
-        self.plan = plan  # the verified ArenaPlan (kept for introspection)
-        self._views = views
-        self._lock = threading.Lock()
-
-    @classmethod
-    def build(cls, model: "object", fplan: "ForwardPlan") -> "InferenceArena":
-        from ..analysis.dataflow.arena import plan_arena
-
-        hp = model.hparams
-        shapes = {"h_path": (fplan.num_paths, hp.path_state_dim)}
-        for r in range(hp.message_passing_steps):
-            shapes[f"h_link/{r}"] = (fplan.num_links, hp.link_state_dim)
-            shapes[f"gx/{r}"] = (fplan.num_links, _gates_width(model))
-            shapes[f"msg/{r}"] = (fplan.num_links, hp.path_state_dim)
-
-        plan = plan_arena(inference_arena_intervals(model, fplan))
-        backing = np.empty(plan.total_bytes, dtype=np.uint8)
-        dtype = model.path_cell.w.data.dtype
-        views = {}
-        for iv in plan.intervals:
-            off = plan.offsets[iv.name]
-            views[iv.name] = (
-                backing[off:off + iv.nbytes]
-                .view(dtype)
-                .reshape(shapes[iv.name])
-            )
-        return cls(plan, views)
-
-    def view(self, name: str) -> np.ndarray:
-        return self._views[name]
-
-    def acquire(self) -> bool:
-        """Try for exclusive use; never blocks (False = use fallback path)."""
-        return self._lock.acquire(blocking=False)
-
-    def release(self) -> None:
-        self._lock.release()
-
 
 def build_plan(inputs: ModelInput) -> ForwardPlan:
-    """Derive the index plan for one input (no caching)."""
+    """Derive the packed index plan for one input (no caching).
+
+    Raises:
+        ModelError: When a path's valid positions are not a prefix of its
+            row, or ``link_indices`` and ``mask`` disagree; the packed layout
+            needs contiguous paths.
+    """
     link_idx = inputs.link_indices
-    mask = inputs.mask
-    safe_idx = np.where(link_idx >= 0, link_idx, 0)
+    lengths = np.count_nonzero(inputs.mask, axis=1)
+    perm = np.argsort(-lengths, kind="stable")
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
     steps = []
     for t in range(inputs.max_path_length):
-        active = mask[:, t]
-        if not active.any():
+        n = int(np.count_nonzero(lengths > t))
+        if n == 0:
             break
-        steps.append(
-            PlanStep(
-                safe_ids=safe_idx[:, t],
-                active_col=mask[:, t : t + 1],
-                ids=link_idx[:, t],
-                gather_plan=make_scatter_plan(safe_idx[:, t]),
-                scatter_plan=make_scatter_plan(link_idx[:, t]),
-                all_active=bool(active.all()),
+        ids = link_idx[perm[:n], t]
+        # Grouping in original row space keeps each bucket's members in
+        # original path order; ``inv`` then names their packed rows.
+        grouped = make_scatter_plan(link_idx[:, t])
+        if grouped.order.size != n or ids.min() < 0:
+            raise ModelError(
+                f"timestep {t}: link_indices must hold a link exactly where "
+                f"mask is set, contiguously from position 0"
             )
-        )
+        steps.append(PlanStep(ids=ids, plan=ScatterPlan(
+            order=inv[grouped.order],
+            starts=grouped.starts,
+            rows=grouped.rows,
+            sorted_ids=grouped.sorted_ids,
+        )))
+    rows = np.arange(perm.size)
     return ForwardPlan(
-        safe_idx=safe_idx, steps=tuple(steps), num_links=int(inputs.num_links)
+        perm=perm,
+        inv=inv,
+        unpack_plan=ScatterPlan(order=perm, starts=rows, rows=rows, sorted_ids=rows),
+        steps=tuple(steps),
     )
 
 
@@ -262,18 +136,7 @@ def plan_for(inputs: ModelInput) -> ForwardPlan:
     memo = _MEMO.get(key)
     if memo is not None and memo[0]() is inputs:
         return memo[1]
-    plan = build_plan(inputs)
-
-    def _evict(ref: weakref.ref, key: int = key) -> None:
-        entry = _MEMO.get(key)
-        if entry is not None and entry[0] is ref:
-            del _MEMO[key]
-
-    try:
-        _MEMO[key] = (weakref.ref(inputs, _evict), plan)
-    except TypeError:
-        pass  # un-weakref-able stand-ins (tests) are simply not memoized
-    return plan
+    return adopt_plan(inputs, build_plan(inputs))
 
 
 def adopt_plan(inputs: ModelInput, plan: ForwardPlan) -> ForwardPlan:
@@ -296,5 +159,5 @@ def adopt_plan(inputs: ModelInput, plan: ForwardPlan) -> ForwardPlan:
     try:
         _MEMO[key] = (weakref.ref(inputs, _evict), plan)
     except TypeError:
-        pass
+        pass  # un-weakref-able stand-ins (tests) are simply not memoized
     return plan

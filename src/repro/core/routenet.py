@@ -84,31 +84,34 @@ class RouteNet(nn.Module):
                 f"mismatch — classed models need classed samples)"
             )
         num_links = inputs.num_links
-        h_link = self.link_embed(nn.tensor(inputs.link_features))
-        h_path = self.path_embed(nn.tensor(inputs.path_features))
-
-        # Index-only state (safe gather indices, per-step active masks, the
-        # early-break length) is memoized per input: cached training inputs
-        # pay for it once, not once per forward call.
+        # Index-only state (the length-sorted path order and each timestep's
+        # live prefix, link ids and aggregation schedule) is memoized per
+        # input: cached training inputs pay for it once, not once per call.
         plan = plan_for(inputs)
+        h_link = self.link_embed(nn.tensor(inputs.link_features))
+        # Path rows run in packed order: sorted by length, descending, so
+        # the paths still live at timestep t are the prefix [:n_t].  The
+        # embedding is row-wise, so permuting its input permutes its output.
+        h_path = self.path_embed(nn.tensor(inputs.path_features[plan.perm]))
 
         for r in range(hp.message_passing_steps):
             nn.tape_mark(f"round/{r}")
             last_round = r == hp.message_passing_steps - 1
-            # Transform-then-gather (same trick as the serving fast path):
-            # the input-side cell transform of every gathered link state is a
-            # row of `gates_all`, so one (L, ·) GEMM per round replaces a
-            # (P, ·) GEMM per timestep — bit-identical, each output row is an
-            # independent dot product.
+            # Transform-then-gather: the input-side cell transform of every
+            # gathered link state is a row of `gates_all`, so one (L, ·) GEMM
+            # per round replaces a (n_t, ·) GEMM per timestep — bit-identical,
+            # each output row is an independent dot product.
             gates_all = self.path_cell.precompute_input(h_link)
             message_sum: nn.Tensor | None = None
+            # Rows whose path has ended are set aside (tail first) and joined
+            # back once per round; the cell only ever sees live rows.
+            finished: list[nn.Tensor] = []
             for step in plan.steps:
-                gx_t = nn.ops.gather(gates_all, step.safe_ids, plan=step.gather_plan)
-                h_new = self.path_cell.step_precomputed(gx_t, h_path)
-                if step.all_active:
-                    h_path = h_new
-                else:
-                    h_path = nn.ops.where(step.active_col, h_new, h_path)
+                if step.n < h_path.shape[0]:
+                    finished.append(h_path[step.n :])
+                    h_path = h_path[: step.n]
+                gx_t = nn.ops.gather(gates_all, step.ids, plan=step.plan)
+                h_path = self.path_cell.step_precomputed(gx_t, h_path)
                 if last_round:
                     # The readout consumes path states only, so the final
                     # link update — and the message aggregation feeding it —
@@ -118,19 +121,22 @@ class RouteNet(nn.Module):
                     # full link-cell step per forward.
                     continue
                 # The state just after consuming link t is the message this
-                # path leaves on that link; padding rows carry id -1 and are
-                # dropped by segment_sum.
+                # path leaves on that link.
                 contribution = nn.ops.segment_sum(
-                    h_path, step.ids, num_links, plan=step.scatter_plan
+                    h_path, step.ids, num_links, plan=step.plan
                 )
                 message_sum = (
                     contribution if message_sum is None else message_sum + contribution
                 )
+            if finished:
+                h_path = nn.ops.concat([h_path, *reversed(finished)], axis=0)
             if not last_round:
                 assert message_sum is not None  # max_len >= 1 by construction
                 h_link = self.link_cell(message_sum, h_link)
 
-        out = h_path
+        # Back to input order before dropout, so its mask falls on the same
+        # rows whatever the path lengths.
+        out = nn.ops.gather(h_path, plan.inv, plan=plan.unpack_plan)
         if training and hp.dropout > 0:
             out = nn.ops.dropout(out, hp.dropout, self._dropout_rng, training=True)
         return self.readout(out)

@@ -45,9 +45,7 @@ class ScatterPlan:
     ``np.add.at`` dispatches per element; grouping equal destination ids
     with a stable sort lets the same scatter run as one buffered gather
     plus ``np.add.reduceat``.  The stable sort keeps each destination's
-    contributions in original row order — the same schedule
-    :mod:`repro.serving.fastpath` uses, so planned tape scatters and the
-    serving fast path agree exactly.  Note ``reduceat`` may sum a bucket
+    contributions in original row order.  Note ``reduceat`` may sum a bucket
     pairwise where ``np.add.at`` accumulates strictly sequentially: results
     agree to ~1 ulp, and are deterministic run to run, but are not
     bit-identical to an unplanned scatter (tested at that tolerance).
@@ -122,12 +120,26 @@ def sqrt(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward, retains=(out_data,))
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe logistic of a raw array (the repo's only sigmoid kernel).
+
+    ``exp`` only ever sees non-positive inputs, and one evaluation covers
+    both branches: ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)``
+    otherwise, with ``e = exp(-|x|)``.  Shared by :func:`sigmoid` and the
+    fused GRU step, so tape and cell agree bit for bit.
+    """
+    e = np.abs(x, out=np.empty_like(x))  # an array even for 0-d input
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = tensor(x)
-    # Numerically stable logistic: exp only ever sees non-positive inputs,
-    # and a single evaluation covers both branches.
-    z = np.exp(-np.abs(x.data))
-    out_data = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out_data = sigmoid_array(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:

@@ -16,14 +16,18 @@ from .tensor import Tensor, tensor
 __all__ = ["GRUCell", "RNNCell", "make_cell"]
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic with a single ``exp`` evaluation.
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` whose rows do not depend on how many rows share the call.
 
-    Matches :func:`repro.nn.ops.sigmoid` bit-for-bit on the non-saturated
-    range (``exp`` is only ever fed non-positive arguments).
+    BLAS multiplies a single row with a matrix-vector kernel whose
+    summation order differs from the matrix-matrix kernel's in the last
+    bit.  The packed path update often ends with one live path, so a lone
+    row is doubled to keep it on the matrix-matrix kernel: each path state
+    then comes out bitwise the same however many paths are still live.
     """
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    if a.shape[0] == 1:
+        return (np.concatenate((a, a)) @ b)[:1]
+    return a @ b
 
 
 class GRUCell(Module):
@@ -103,12 +107,21 @@ class GRUCell(Module):
         hs = self.hidden_size
         u = self.u
         gx, hd = gates_x.data, h.data
-        zr = _stable_sigmoid(gx[:, : 2 * hs] + hd @ u.data[:, : 2 * hs])
+        # In-place accumulation into fresh temporaries: float addition
+        # commutes bitwise, so ``zr += gx`` equals ``gx + h @ U`` exactly,
+        # and one contiguous sigmoid covers both gates.
+        zr = _matmul_rows(hd, u.data[:, : 2 * hs])
+        zr += gx[:, : 2 * hs]
+        zr = ops.sigmoid_array(zr)
         z = zr[:, :hs]
         r = zr[:, hs:]
         rh = r * hd
-        n = np.tanh(gx[:, 2 * hs :] + rh @ u.data[:, 2 * hs :])
-        out_data = (1.0 - z) * n + z * hd
+        n = _matmul_rows(rh, u.data[:, 2 * hs :])
+        n += gx[:, 2 * hs :]
+        np.tanh(n, out=n)
+        out_data = 1.0 - z
+        out_data *= n
+        out_data += z * hd
 
         def backward(grad: np.ndarray) -> None:
             uzr = u.data[:, : 2 * hs]
@@ -164,8 +177,26 @@ class RNNCell(Module):
         return x @ self.w + self.bias
 
     def step_precomputed(self, gates_x: Tensor, h: Tensor) -> Tensor:
-        """One step given the precomputed input pre-activation."""
-        return ops.tanh(gates_x + h @ self.u)
+        """One step given the precomputed input pre-activation, as one node."""
+        gates_x, h = tensor(gates_x), tensor(h)
+        u = self.u
+        hd = h.data
+        out_data = _matmul_rows(hd, u.data)
+        out_data += gates_x.data
+        np.tanh(out_data, out=out_data)
+
+        def backward(grad: np.ndarray) -> None:
+            dpre = grad * (1.0 - out_data * out_data)
+            if gates_x.requires_grad:
+                gates_x._accumulate(dpre)
+            if u.requires_grad:
+                u._accumulate(hd.T @ dpre)
+            if h.requires_grad:
+                h._accumulate(dpre @ u.data.T)
+
+        return Tensor._make(
+            out_data, (gates_x, h, u), backward, retains=(hd, u.data, out_data)
+        )
 
 
 _CELLS = {"gru": GRUCell, "rnn": RNNCell}

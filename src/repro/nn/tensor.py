@@ -14,6 +14,7 @@ float32 via the ``dtype`` argument of :func:`tensor`.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from typing import Callable, Iterable, Sequence
 
@@ -30,7 +31,14 @@ __all__ = [
     "set_tape_observer",
 ]
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Per-thread tape switch: one thread's ``no_grad`` never leaks into
+    another's (every thread starts with recording enabled)."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 #: Optional observer notified of tape phase marks (``tape_mark``).  The
 #: dataflow recorder in :mod:`repro.analysis.dataflow` installs one to
@@ -173,23 +181,23 @@ class no_grad:
 
     Inside a ``with no_grad():`` block all operations produce tensors with
     ``requires_grad=False`` and no parents, which makes pure inference cheaper
-    and prevents memory growth during evaluation loops.
+    and prevents memory growth during evaluation loops.  The switch is
+    per thread: serving threads inside ``no_grad`` leave a training thread's
+    tape untouched, however their enters and exits interleave.
     """
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc: object) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    """Return whether new operations are being recorded on the tape."""
-    return _GRAD_ENABLED
+    """Return whether new operations are being recorded on this thread's tape."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -255,7 +263,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
         self._retains: tuple[np.ndarray, ...] | None = None
@@ -394,7 +402,7 @@ class Tensor:
                 input data, not tape buffers, and are never listed.
         """
         parents = tuple(parents)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(p for p in parents if p.requires_grad)

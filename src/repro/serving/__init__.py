@@ -14,7 +14,6 @@ from .batching import FusedBatch, pack_inputs
 from .cache import InputCache, PredictionCache
 from .config import ServeConfig
 from .engine import InferenceEngine
-from .fastpath import fast_forward, supports_fast_forward
 from .loadgen import LoadReport, predictions_digest, run_closed_loop, run_open_loop
 from .service import ServeFuture, ServingService, TopologySignature
 
@@ -25,8 +24,6 @@ __all__ = [
     "PredictionCache",
     "ServeConfig",
     "InferenceEngine",
-    "fast_forward",
-    "supports_fast_forward",
     "LoadReport",
     "predictions_digest",
     "run_closed_loop",

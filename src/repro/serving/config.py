@@ -1,13 +1,10 @@
 """Typed serving configuration shared by the engine, the service and the CLI.
 
-:class:`InferenceEngine` historically grew one loose constructor kwarg per
-feature (``batch_size``, ``include_load``, ``use_fast_path``, ...), and the
-request-queue service would have tripled that surface.  :class:`ServeConfig`
-is the single typed knob object instead: one frozen dataclass validated at
-construction, threaded through :class:`~repro.serving.InferenceEngine`,
+:class:`ServeConfig` is the single typed knob object for serving: one frozen
+dataclass validated at construction, threaded through
+:class:`~repro.serving.InferenceEngine`,
 :class:`~repro.serving.ServingService`, :func:`repro.api.predict` and the
-``repro serve-bench`` CLI subcommand.  The old engine kwargs keep working
-through a once-per-process deprecation shim (see ``InferenceEngine``).
+``repro serve-bench`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -56,8 +53,6 @@ class ServeConfig:
             (deterministic composition; see module notes).
         include_load: Build inputs with the per-link load feature (must match
             the model's ``link_feature_dim``).
-        use_fast_path: Serve through the raw-numpy inference kernel when the
-            model supports it.
     """
 
     max_batch: int = 32
@@ -69,7 +64,6 @@ class ServeConfig:
     prediction_cache_size: int = 2048
     coalesce: str = "deadline"
     include_load: bool = False
-    use_fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:

@@ -18,58 +18,37 @@ arrays: a prediction-cache miss still reuses the prepared arrays when only
 the *forward* is stale.  Both tiers' hit/miss/eviction counters ride along in
 :meth:`stats`.
 
-Configuration is a typed :class:`~repro.serving.ServeConfig`; the historical
-loose kwargs (``batch_size=``, ``include_load=``, ``use_fast_path=``) keep
-working through a deprecation shim that warns once per process.
+Configuration is a typed :class:`~repro.serving.ServeConfig`.  Every batch
+runs the one RouteNet forward, :func:`fast_forward` (``model.forward`` under
+``no_grad``): the length-packed plan already confines the path cell to live
+rows, so serving needs no kernel of its own.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .. import nn
 from ..core import FeatureScaler, ModelInput, RouteNet, build_model_input
 from ..dataset import Sample
-from ..errors import ReproDeprecationWarning, ServingError
+from ..errors import ServingError
 from ..results import PredictResult
 from .batching import pack_inputs
 from .cache import InputCache, PredictionCache
 from .config import ServeConfig
-from .fastpath import fast_forward, supports_fast_forward
 
 __all__ = ["InferenceEngine"]
 
 _STAGES = ("build", "pack", "forward", "decode")
 
-#: Legacy constructor kwargs and the ServeConfig field each one maps to.
-_LEGACY_KWARGS = {
-    "batch_size": "max_batch",
-    "include_load": "include_load",
-    "use_fast_path": "use_fast_path",
-}
 
-_warned_legacy_kwargs = False
-
-
-def _config_from_legacy(legacy: dict) -> ServeConfig:
-    """Map deprecated loose kwargs onto a :class:`ServeConfig`, warning once."""
-    unknown = set(legacy) - set(_LEGACY_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"InferenceEngine got unexpected keyword arguments {sorted(unknown)}"
-        )
-    global _warned_legacy_kwargs
-    if not _warned_legacy_kwargs:
-        _warned_legacy_kwargs = True
-        warnings.warn(
-            f"InferenceEngine kwargs {sorted(legacy)} are deprecated; pass "
-            f"config=ServeConfig(...) instead (this warning is emitted once)",
-            ReproDeprecationWarning,
-            stacklevel=3,
-        )
-    return ServeConfig(**{_LEGACY_KWARGS[name]: value for name, value in legacy.items()})
+def fast_forward(model: RouteNet, inputs: ModelInput) -> np.ndarray:
+    """Scaled (P, targets) predictions: ``model.forward`` without a tape."""
+    with nn.no_grad():
+        return model.forward(inputs, training=False).numpy()
 
 
 class InferenceEngine:
@@ -82,7 +61,7 @@ class InferenceEngine:
             means building a new engine (the trainer already does).
         config: Typed serving knobs (:class:`ServeConfig`); library defaults
             when omitted.  The engine consumes ``max_batch``,
-            ``include_load``, ``use_fast_path``, ``input_cache_size`` and
+            ``include_load``, ``input_cache_size`` and
             ``prediction_cache_size``; queue/worker fields belong to
             :class:`~repro.serving.ServingService`.
         cache: Content-addressed store for built inputs; created from
@@ -96,8 +75,6 @@ class InferenceEngine:
             When given, it owns input caching and ``cache`` is bypassed for
             sample builds (content keys are still used for the prediction
             tier).
-        **legacy: Deprecated loose kwargs (``batch_size``, ``include_load``,
-            ``use_fast_path``); mutually exclusive with ``config``.
     """
 
     def __init__(
@@ -109,15 +86,7 @@ class InferenceEngine:
         cache: InputCache | None = None,
         prediction_cache: PredictionCache | None = None,
         builder: Callable[[Sample], ModelInput] | None = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            if config is not None:
-                raise ServingError(
-                    f"pass either config=ServeConfig(...) or the deprecated "
-                    f"loose kwargs {sorted(legacy)}, not both"
-                )
-            config = _config_from_legacy(legacy)
         self.config = config or ServeConfig()
         self.model = model
         self.scaler = scaler
@@ -130,7 +99,6 @@ class InferenceEngine:
         self._builder = builder
         self._queue: list[Sample] = []
         self._params_digest: str | None = None
-        self.fast_path = self.config.use_fast_path and supports_fast_forward(model)
         self.reset_stats()
 
     # ------------------------------------------------------------------
@@ -255,11 +223,7 @@ class InferenceEngine:
             t0 = time.perf_counter()
             batch = pack_inputs(chunk)
             t1 = time.perf_counter()
-            if self.fast_path:
-                encoded = fast_forward(self.model, batch.inputs)
-            else:
-                with nn.no_grad():
-                    encoded = self.model.forward(batch.inputs, training=False).numpy()
+            encoded = fast_forward(self.model, batch.inputs)
             t2 = time.perf_counter()
             decoded = self.scaler.decode_targets(encoded)
             for inp, rows in zip(chunk, batch.split_rows(decoded)):
@@ -301,7 +265,6 @@ class InferenceEngine:
             out[f"{stage}_s"] = self._times[stage]
             total += self._times[stage]
         out["total_s"] = total
-        out["fast_path"] = self.fast_path
         out["cache"] = self.cache.stats()
         out["prediction_cache"] = (
             self.prediction_cache.stats() if self.prediction_cache is not None else None

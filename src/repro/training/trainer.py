@@ -455,7 +455,14 @@ class Trainer:
             self._engine = InferenceEngine(
                 self.model,
                 self.scaler,
-                ServeConfig(include_load=self.include_load, max_batch=batch_size),
+                # No prediction tier: its keys cover sample content and
+                # scaler, not the weights, so it would replay predictions
+                # from before the latest training step.
+                ServeConfig(
+                    include_load=self.include_load,
+                    max_batch=batch_size,
+                    prediction_cache_size=0,
+                ),
                 builder=lambda sample: self._prepare(sample)[0],
             )
             self._engine_state = (

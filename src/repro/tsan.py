@@ -20,8 +20,8 @@ like code that calls ``threading.Lock()`` directly.
 
 Rebinding discipline: only ``runtime.install()``/``uninstall()`` may
 mutate this module, and ``uninstall()`` always restores the aliases
-below — the same interpreter-wide switch-with-restore contract as
-``repro.nn.tensor._GRAD_ENABLED`` (exempted in
+below — the same switch-with-restore contract as the ``no_grad`` flag
+``repro.nn.tensor._GRAD_MODE`` (exempted in
 :mod:`repro.analysis.flow.purity`).
 """
 

@@ -299,5 +299,5 @@ class TestPayload:
         assert stats["program_points"] == 2 * stats["values"]
         assert stats["tape_arena_bytes"] >= stats["peak_tape_bytes"] > 0
         plans = payload["arena_plans"]["tiny"]
+        assert set(plans) == {"tape"}
         assert plans["tape"]["proof"]["violations"] == []
-        assert plans["inference"]["proof"]["violations"] == []

@@ -226,17 +226,19 @@ class TestHotPath:
 
 class TestRealTree:
     def test_no_hot_path_errors_in_repo(self, repo_index_and_graph):
-        """Regression for the serving fastpath buffer hoist: the hot set
-        must be free of error-severity RP4xx findings."""
+        """The hot set must be free of error-severity RP4xx findings."""
         index, graph = repo_index_and_graph
         findings = check_perf(index, graph)
         hard = [v for v in findings if v.severity == "error"]
         assert hard == [], [v.format() for v in hard]
 
     def test_serving_fastpath_is_in_hot_set(self, repo_index_and_graph):
+        """Serving runs the one RouteNet forward: the engine's entry point
+        and the forward it calls are both under the hot-path lints."""
         index, graph = repo_index_and_graph
         hot = hot_functions(index, graph)
-        assert any(q.startswith("repro.serving.fastpath.") for q in hot)
+        assert "repro.serving.engine.fast_forward" in hot
+        assert "repro.core.routenet.RouteNet.forward" in hot
 
     def test_serving_service_is_in_hot_set(self, repo_index_and_graph):
         """The request-queue service (worker loop, coalescing, admission)

@@ -205,3 +205,41 @@ class TestNoGrad:
                 assert not is_grad_enabled()
             assert not is_grad_enabled()
         assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        """Two threads whose enters and exits interleave (A in, B in, A out,
+        B out) must leave every thread recording; a process-wide switch
+        restores B's saved ``False`` last and disables the tape for good."""
+        import threading
+
+        from repro.nn import is_grad_enabled
+
+        barrier = threading.Barrier(2, timeout=10.0)
+        seen = {}
+
+        def worker(name, enter_turn, exit_turn):
+            for turn in range(4):
+                if turn == enter_turn:
+                    ctx = no_grad()
+                    ctx.__enter__()
+                    seen[name, "inside"] = is_grad_enabled()
+                if turn == exit_turn:
+                    ctx.__exit__(None, None, None)
+                barrier.wait()
+            seen[name, "after"] = is_grad_enabled()
+
+        threads = [
+            threading.Thread(target=worker, args=("a", 0, 2)),
+            threading.Thread(target=worker, args=("b", 1, 3)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert seen == {
+            ("a", "inside"): False, ("b", "inside"): False,
+            ("a", "after"): True, ("b", "after"): True,
+        }
+        assert is_grad_enabled()
+        assert (_param([1.0]) * 2.0).requires_grad

@@ -1,12 +1,16 @@
 """InferenceEngine: batched serving semantics, queueing, caches, stats."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.core import RouteNet
+from repro import nn
+from repro.core import HyperParams, RouteNet
 from repro.dataset import fit_scaler
-from repro.errors import ReproDeprecationWarning, ServingError
-from repro.serving import InferenceEngine, ServeConfig
+from repro.errors import ModelError, ServingError
+from repro.serving import InferenceEngine, ServeConfig, pack_inputs
+from repro.serving.engine import fast_forward
 
 
 @pytest.fixture(scope="module")
@@ -58,42 +62,73 @@ class TestPredictMany:
             InferenceEngine(model, scaler, ServeConfig(max_batch=0))
 
 
-class TestLegacyKwargs:
-    """The pre-ServeConfig keyword constructor stays alive behind a shim."""
-
-    def test_batch_size_kwarg_warns_and_maps(self, served, tiny_samples):
-        model, scaler = served
-        import repro.serving.engine as engine_mod
-
-        engine_mod._warned_legacy_kwargs = False
-        with pytest.warns(ReproDeprecationWarning, match="ServeConfig"):
-            engine = InferenceEngine(model, scaler, batch_size=3)
-        assert engine.config.max_batch == 3
-        engine.predict_many(tiny_samples)
-        assert engine.stats()["batches"] == 3
-
-    def test_legacy_warning_is_emitted_once(self, served):
-        model, scaler = served
-        import repro.serving.engine as engine_mod
-
-        engine_mod._warned_legacy_kwargs = False
-        with pytest.warns(ReproDeprecationWarning):
-            InferenceEngine(model, scaler, batch_size=2)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            InferenceEngine(model, scaler, batch_size=2)  # silent second time
-
-    def test_config_plus_legacy_kwargs_rejected(self, served):
-        model, scaler = served
-        with pytest.raises(ServingError):
-            InferenceEngine(model, scaler, ServeConfig(), batch_size=2)
+class TestConstructor:
+    """``config=ServeConfig(...)`` is the only way to configure an engine."""
 
     def test_unknown_kwarg_is_a_type_error(self, served):
         model, scaler = served
         with pytest.raises(TypeError):
             InferenceEngine(model, scaler, bogus=1)
+
+    @pytest.mark.parametrize("name", ["batch_size", "include_load", "use_fast_path"])
+    def test_removed_loose_kwargs_are_type_errors(self, served, name):
+        model, scaler = served
+        with pytest.raises(TypeError):
+            InferenceEngine(model, scaler, **{name: 2})
+
+
+class TestForward:
+    """Every batch runs the one RouteNet forward, without a tape."""
+
+    def test_feature_width_mismatch_raises(self, tiny_samples):
+        scaler = fit_scaler(list(tiny_samples))
+        wide = RouteNet(HyperParams(link_feature_dim=2))
+        inp = InferenceEngine(RouteNet(seed=0), scaler).build_input(tiny_samples[0])
+        with pytest.raises(ModelError):
+            fast_forward(wide, inp)
+
+    def test_subclassed_cell_is_served(self, tiny_samples):
+        scaler = fit_scaler(list(tiny_samples))
+        model = RouteNet(seed=14)
+
+        class OddCell(nn.GRUCell):
+            pass
+
+        model.path_cell = OddCell(
+            model.hparams.link_state_dim,
+            model.hparams.path_state_dim,
+            np.random.default_rng(0),
+        )
+        engine = InferenceEngine(model, scaler)
+        result = engine.predict_many([tiny_samples[0]])[0]
+        reference = model.predict(engine.build_input(tiny_samples[0]), scaler)
+        np.testing.assert_array_equal(result.delay, reference.delay)
+
+    def test_concurrent_forwards_are_bitwise(self, served, tiny_samples):
+        """Threads sharing one input (and so one memoized plan) each get
+        the sequential result, and leave recording on for everyone else."""
+        model, scaler = served
+        engine = InferenceEngine(model, scaler)
+        batch = pack_inputs([engine.build_input(s) for s in tiny_samples])
+        expected = fast_forward(model, batch.inputs)
+        barrier = threading.Barrier(4, timeout=10.0)
+        results = []
+
+        def serve():
+            barrier.wait()
+            for _ in range(3):
+                results.append(fast_forward(model, batch.inputs))
+
+        threads = [threading.Thread(target=serve) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert len(results) == 12
+        for got in results:
+            np.testing.assert_array_equal(got, expected)
+        assert nn.is_grad_enabled()
 
 
 class TestSubmitFlush:

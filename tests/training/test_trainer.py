@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import HyperParams, RouteNet
 from repro.errors import ModelError
+from repro.serving import InferenceEngine
 from repro.training import Trainer
 
 TINY = HyperParams(
@@ -94,6 +95,20 @@ class TestEvaluatePredict:
         trainer.fit(tiny_samples, epochs=1)
         with pytest.raises(ModelError):
             trainer.evaluate([])
+
+    def test_evaluate_tracks_training(self, tiny_samples):
+        """Regression: the trainer's cached engine must not replay
+        predictions made with the weights of an earlier evaluate."""
+        trainer = Trainer(RouteNet(TINY, seed=0), seed=1)
+        trainer.fit(tiny_samples, epochs=1)
+        first = trainer.evaluate(tiny_samples)
+        trainer.fit(tiny_samples, epochs=1)
+        second = trainer.evaluate(tiny_samples)
+        fresh = InferenceEngine(trainer.model, trainer.scaler).predict_many(tiny_samples)
+        served = trainer.engine().predict_many(tiny_samples)
+        for got, want in zip(served, fresh):
+            np.testing.assert_array_equal(got.delay, want.delay)
+        assert second.delay.mre != first.delay.mre
 
     def test_include_load_feature(self, tiny_samples):
         """Trainer can feed analytic per-link load as a second link feature
