@@ -1,15 +1,12 @@
-"""Static correctness tooling: linter, shape checker, gradient audit.
+"""Static correctness tooling: linter, tape dataflow and model check,
+gradient audit.
 
-Three subsystems, one entry point (``python -m repro.analysis``):
+One entry point (``python -m repro.analysis``) over these subsystems:
 
 * :mod:`repro.analysis.lint` — repo-specific AST rules (RP001–RP007)
   enforcing the library's conventions: seeded RNG only, no float
   equality, no swallowed exceptions, dtype and tape-state hygiene,
   virtual-time simulation.
-* :mod:`repro.analysis.shapes` — abstract interpretation of the RouteNet
-  forward graph with ``(shape, dtype)``-only tensors; proves broadcast
-  compatibility for a topology signature in milliseconds and reports the
-  exact op and operand shapes on mismatch.
 * :mod:`repro.analysis.gradcheck` / :mod:`repro.analysis.sanitize` —
   finite-difference verification of every registered op's backward pass,
   and a tape sanitizer that pinpoints the first op producing NaN/Inf
@@ -17,10 +14,20 @@ Three subsystems, one entry point (``python -m repro.analysis``):
 * :mod:`repro.analysis.dataflow` — symbolic tape recorder over one real
   fused forward+backward: SSA def–use graph, alias classes, liveness,
   the RP6xx proofs (in-place writes, dead stores, tape escapes, arena
-  budgets) and the verified arena planner the serving fast path executes
-  from.
+  budgets, a forward that raises on a paper family) and the verified
+  arena planner.  Its model check (``check_model``) runs the real forward
+  on a topology signature and, when a kernel raises, reports the op and
+  operand shapes that failed.
 """
 
+from .dataflow import (
+    PAPER_SIGNATURE_NAMES,
+    ShapeCheckError,
+    ShapeReport,
+    TopologySignature,
+    check_model,
+    paper_signatures,
+)
 from .gradcheck import (
     GRADCHECK_SPECS,
     GradSpec,
@@ -39,17 +46,6 @@ from .lint import (
     lint_source,
 )
 from .sanitize import NonFiniteError, sanitize_tape
-from .shapes import (
-    PAPER_SIGNATURE_NAMES,
-    ShapeCheckError,
-    ShapeReport,
-    ShapeTensor,
-    ShapeTrace,
-    TopologySignature,
-    abstract_graph,
-    check_model,
-    paper_signatures,
-)
 
 __all__ = [
     # lint
@@ -59,14 +55,11 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "format_violations",
-    # shapes
+    # model check (dataflow)
     "PAPER_SIGNATURE_NAMES",
     "ShapeCheckError",
     "ShapeReport",
-    "ShapeTensor",
-    "ShapeTrace",
     "TopologySignature",
-    "abstract_graph",
     "check_model",
     "paper_signatures",
     # gradcheck / sanitize

@@ -10,9 +10,13 @@ Default run, in order:
    the threaded serving/pool layers (the derived lock-order graph lands
    in the ``json`` payload as ``lock_order``).  Skip with ``--no-flow``.
 3. **Tape dataflow** (RP6xx): records one real fused forward+backward per
-   paper topology family and proves the tape free of in-place writes to
-   live alias classes (RP601), dead stores (RP602), scope-escaping
-   buffers (RP603) and peak-arena regressions against the committed
+   paper topology family (NSFNET, Geant2, 50-node synthetic) with the
+   default RouteNet architecture.  A family whose forward or backward
+   raises is one RP605 finding naming the failing op, its operand shapes
+   and the last tape nodes; the pass goes on with the next family.  The
+   recorded tapes are proved free of in-place writes to live alias
+   classes (RP601), dead stores (RP602), scope-escaping buffers (RP603)
+   and peak-arena regressions against the committed
    ``BENCH_training.json`` budgets (RP604).  The verified per-family
    :class:`~repro.analysis.dataflow.arena.ArenaPlan` proofs land in the
    ``json`` payload as ``dataflow`` (uploaded as a CI artifact).  Skip
@@ -20,9 +24,7 @@ Default run, in order:
 4. **Stale-suppression audit** (RP008): a ``# repro-lint: disable=RPxxx``
    comment that suppressed nothing across *all* passes is itself an error
    (runs only on full-tree, full-rule runs, where "unused" is meaningful).
-5. **Shape check**: the default RouteNet architecture against the paper's
-   three topology signatures (NSFNET, Geant2, 50-node synthetic).
-6. ``--gradcheck`` adds the finite-difference gradient audit (opt-in
+5. ``--gradcheck`` adds the finite-difference gradient audit (opt-in
    here; CI runs it in the pytest matrix as well).
 
 Severities: **error** findings fail ``--strict``; **warning** findings
@@ -56,12 +58,10 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from ..core import HyperParams, RouteNet
 from ..errors import AnalysisError
 from .codes import ALL_CODES
 from .gradcheck import format_gradcheck, gradcheck_all
 from .lint import RULES, Violation, format_violations, lint_paths, lint_source
-from .shapes import check_model, paper_signatures
 
 __all__ = ["main"]
 
@@ -74,8 +74,8 @@ def _default_src_root() -> Path:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Repo static checks: lint, flow analyses, shape check, "
-                    "gradient audit.",
+        description="Repo static checks: lint, flow analyses, tape dataflow "
+                    "and model check, gradient audit.",
     )
     parser.add_argument(
         "--strict", action="store_true",
@@ -102,20 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
              "forward+backward per topology family)",
     )
     parser.add_argument(
-        "--no-shapes", action="store_true",
-        help="skip the RouteNet shape check",
-    )
-    parser.add_argument(
         "--gradcheck", action="store_true",
         help="also run the finite-difference gradient audit of every op",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "github"), default="text",
         dest="fmt", help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="deprecated alias for --format json",
     )
     parser.add_argument(
         "--show-warnings", action="store_true",
@@ -165,7 +157,6 @@ def _run_flow(src_root: Path, cache_dir: Path | None,
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    fmt = "json" if args.as_json else args.fmt
     started = time.perf_counter()
     errors = 0
     warnings = 0
@@ -246,10 +237,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     errors += sum(1 for v in findings if v.severity == "error")
     warnings += sum(1 for v in findings if v.severity != "error")
     payload["findings"] = [v.__dict__ for v in findings]
-    # Back-compat alias for the pre-flow JSON schema.
-    payload["lint"] = [v.__dict__ for v in findings if v.code.startswith("RP0")]
 
-    if fmt == "text":
+    if args.fmt == "text":
         shown = [v for v in findings
                  if v.severity == "error" or args.show_warnings]
         print(f"[analysis] {errors} error(s), {warnings} warning(s)")
@@ -258,24 +247,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         hidden = len(findings) - len(shown)
         if hidden:
             print(f"({hidden} warning(s) hidden; use --show-warnings)")
-    elif fmt == "github":
+    elif args.fmt == "github":
         for v in findings:
             print(_github_line(v))
-
-    if not args.no_shapes:
-        model = RouteNet(HyperParams())
-        reports = [
-            check_model(model, sig) for sig in paper_signatures().values()
-        ]
-        failures = [r for r in reports if not r.ok]
-        errors += len(failures)
-        payload["shapes"] = [r.__dict__ for r in reports]
-        if fmt == "text":
-            for report in reports:
-                print(report.format())
-        elif fmt == "github":
-            for report in failures:
-                print(f"::error::shape check failed: {report.format()}")
 
     if args.gradcheck:
         try:
@@ -288,14 +262,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload["gradcheck"] = {
             name: report.__dict__ for name, report in reports.items()
         }
-        if fmt == "text":
+        if args.fmt == "text":
             print(format_gradcheck(reports))
 
     elapsed = time.perf_counter() - started
     payload["elapsed_seconds"] = round(elapsed, 3)
     payload["counts"] = {"errors": errors, "warnings": warnings}
 
-    if fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(payload, indent=2, default=str))
 
     if args.max_seconds is not None and elapsed > args.max_seconds:
@@ -305,11 +279,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if errors:
         status = 1 if args.strict else 0
-        if fmt == "text":
+        if args.fmt == "text":
             print(f"{errors} error(s) found"
                   + ("" if args.strict else " (non-strict: exit 0)"))
         return status
-    if fmt == "text":
+    if args.fmt == "text":
         print(f"all checks passed ({elapsed:.2f}s)")
     return 0
 

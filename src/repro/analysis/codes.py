@@ -84,6 +84,8 @@ ALL_CODES: dict[str, str] = {
              "teardown (closure/global/cache holds it), leaking across steps",
     "RP604": "peak-arena-bytes regression: the planned tape arena outgrew the "
              "committed per-family budget in BENCH_training.json",
+    "RP605": "forward fails on a paper family: the recorded forward or "
+             "backward raised; the finding names the op and operand shapes",
 }
 
 #: Default severity per code ("error" unless listed here).

@@ -33,6 +33,7 @@ states into one (false positives at worst, masked races at best).
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 import time
@@ -57,6 +58,22 @@ __all__ = [
 ]
 
 _DEFAULT_CAPACITY = 8192
+
+_SERIALS = itertools.count(1)
+_THREAD = threading.local()
+
+
+def _thread_serial() -> int:
+    """This thread's serial number, unique for the life of the process.
+
+    ``threading.get_ident()`` is reused once a thread exits, so two threads
+    run one after the other often share an ident; keyed by ident, Eraser
+    would see one owner and miss the race between them.
+    """
+    serial = getattr(_THREAD, "serial", None)
+    if serial is None:
+        serial = _THREAD.serial = next(_SERIALS)
+    return serial
 
 
 def _call_site() -> str:
@@ -115,7 +132,7 @@ class _Registry:
                         self.edges[(prev, lock_id)].add(site)
             self.events.append(
                 ("acquire", self.lock_names.get(lock_id, "?"),
-                 threading.get_ident(), site))
+                 _thread_serial(), site))
         held.append(lock_id)
 
     def note_release(self, lock: object) -> None:
@@ -128,11 +145,11 @@ class _Registry:
         with self._mu:
             self.events.append(
                 ("release", self.lock_names.get(lock_id, "?"),
-                 threading.get_ident(), _call_site()))
+                 _thread_serial(), _call_site()))
 
     # -- Eraser lockset refinement --------------------------------------
     def note_access(self, obj: Any, attr: str, kind: str) -> None:
-        tid = threading.get_ident()
+        tid = _thread_serial()
         lockset = set(self._held())
         site = _call_site()
         key = (id(obj), attr)

@@ -15,6 +15,9 @@ real fused forward+backward (:func:`record_fused_step`), then discharges:
 * **RP604** — peak-arena-bytes regression: the planned arena for the
   recorded tape outgrew the committed per-family budget in
   ``BENCH_training.json``.
+* **RP605** — the forward or backward raises on a paper family; the
+  finding names the failing op, its operand shapes and the last tape
+  nodes recorded before it, and the pass goes on with the next family.
 
 It also emits the verified training-tape
 :class:`~repro.analysis.dataflow.arena.ArenaPlan` per family as the
@@ -29,10 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from ..lint import Violation
-from ..shapes import paper_signatures
 from .arena import ArenaPlan, BufferInterval, plan_arena
 from .graph import TapeGraph
-from .recorder import RecordedStep, record_fused_step
+from .modelcheck import paper_signatures
+from .recorder import RecordedStep, ShapeCheckError, record_fused_step
 
 __all__ = ["run_dataflow", "tape_intervals", "tape_arena_plan", "check_tape"]
 
@@ -151,13 +154,13 @@ def run_dataflow(
     repo_root: "Path | None" = None,
     families: "dict[str, object] | None" = None,
 ) -> tuple[list[Violation], dict]:
-    """Record the fused step for each paper family and run RP601–RP604.
+    """Record the fused step for each paper family and run RP601–RP605.
 
     Args:
         repo_root: Repository root holding ``BENCH_training.json`` (the
             RP604 budgets); ``None`` skips the budget comparison.
         families: ``{name: TopologySignature}`` override (tests); defaults
-            to :func:`~repro.analysis.shapes.paper_signatures`.
+            to :func:`~repro.analysis.dataflow.modelcheck.paper_signatures`.
 
     Returns:
         ``(findings, payload)`` — the payload lands under ``"dataflow"``
@@ -178,10 +181,17 @@ def run_dataflow(
     targets = model.hparams.readout_targets
 
     for family, sig in families.items():
-        inputs = sig.model_input()
-        step = record_fused_step(
-            model, inputs, np.zeros((sig.num_paths, targets))
-        )
+        try:
+            step = record_fused_step(
+                model, sig.model_input(), np.zeros((sig.num_paths, targets))
+            )
+        except ShapeCheckError as exc:
+            tail = exc.trace_tail and f"\n  last ops before failure:\n{exc.trace_tail}"
+            findings.append(Violation(
+                path=_tape_path(family), line=0, col=0, code="RP605",
+                message=f"forward fails on the {family} family: {exc}{tail}",
+            ))
+            continue
         findings.extend(check_tape(step, family))
 
         tape_plan = tape_arena_plan(step.graph)

@@ -1,11 +1,19 @@
 """Symbolic tape recorder: one fused forward+backward → a :class:`TapeGraph`.
 
-Same interception trick as the shape checker (:mod:`repro.analysis.shapes`):
-instead of swapping the op layer for abstract twins, the recorder wraps the
-single funnel every op goes through — ``Tensor._make`` — so the *real*
-model runs with real values while every node's structure (op, shapes,
-storage aliasing, backward retention) is captured on the side.  A
-``tape_mark`` observer segments the recording into message-passing rounds.
+The recorder wraps the single funnel every op goes through —
+``Tensor._make`` — so the *real* model runs with real values while every
+node's structure (op, shapes, storage aliasing, backward retention) is
+captured on the side.  A ``tape_mark`` observer segments the recording into
+message-passing rounds.
+
+Because the real kernels execute, a shape bug anywhere in the forward —
+a transposed operand, a mis-shaped fused-cell weight, an out-of-range link
+id — raises from the very kernel that has it.  :meth:`TapeRecorder.localize`
+turns that exception into a :class:`ShapeCheckError` naming the op (the
+innermost ``repro.nn`` frame of the traceback), the shapes of its array
+operands and the last tape nodes recorded before it; the model check
+(:func:`~repro.analysis.dataflow.modelcheck.check_model`) and the RP605
+finding of the dataflow pass both report it.
 
 On top of the structural capture the recorder adds two runtime obligations:
 
@@ -24,18 +32,69 @@ On top of the structural capture the recorder adds two runtime obligations:
 from __future__ import annotations
 
 import gc
+import traceback
 import weakref
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from pathlib import Path
+from types import FrameType, TracebackType
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ... import nn as nn_pkg
+from ...errors import AnalysisError, ModelError
 from ...nn.tensor import Tensor, set_tape_observer
 from .graph import TapeGraph, TapeValue
 
-__all__ = ["TapeRecorder", "RecordedStep", "record_fused_step"]
+__all__ = ["ShapeCheckError", "TapeRecorder", "RecordedStep", "record_fused_step"]
+
+#: Directory of the op layer: the innermost traceback frame in it names
+#: the op that failed.
+_NN_DIR = Path(nn_pkg.__file__).parent
+
+
+class ShapeCheckError(AnalysisError):
+    """A recorded forward or backward raised; localized to one op.
+
+    Attributes:
+        op: Name of the failing op — the innermost ``repro.nn`` frame with
+            its dunder underscores stripped (``matmul``, ``gather``,
+            ``precompute_input``), or ``"forward-precondition"`` for a
+            :class:`~repro.errors.ModelError` from ``forward``'s guards.
+        operands: Shapes of the arrays and tensors bound in that frame.
+        trace_tail: The last tape nodes recorded before the failure.
+    """
+
+    def __init__(self, op: str, detail: str, operands: Sequence[tuple[int, ...]],
+                 trace_tail: str = "") -> None:
+        self.op = op
+        self.operands = tuple(tuple(s) for s in operands)
+        self.trace_tail = trace_tail
+        shapes = " , ".join(str(s) for s in self.operands)
+        super().__init__(
+            f"{op}: {detail}" + (f" (operand shapes: {shapes})" if shapes else "")
+        )
+
+
+def _failing_frame(tb: TracebackType) -> FrameType:
+    """The innermost traceback frame inside ``repro.nn``, else the innermost."""
+    frames = [frame for frame, _ in traceback.walk_tb(tb)]
+    in_nn = [f for f in frames if Path(f.f_code.co_filename).parent == _NN_DIR]
+    return (in_nn or frames)[-1]
+
+
+def _operand_shapes(frame: FrameType) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the arrays and tensors bound in ``frame``, arguments first."""
+    seen: set[int] = set()
+    shapes = []
+    for value in frame.f_locals.values():
+        arr = value.data if isinstance(value, Tensor) else value
+        if isinstance(arr, np.ndarray) and id(arr) not in seen:
+            seen.add(id(arr))
+            shapes.append(tuple(arr.shape))
+    return tuple(shapes)
 
 
 def _op_name(backward: "Callable[..., None] | None") -> str:
@@ -84,6 +143,8 @@ class TapeRecorder:
         self._escape_refs: list[tuple[int, weakref.ref]] = []
         #: Retention fingerprints: (owner_vid, retained_vid, ref, crc).
         self._fingerprints: list[tuple[int, int, weakref.ref, int]] = []
+        #: vids of the recorded tape nodes, in execution order.
+        self.nodes: list[int] = []
 
     # -- array bookkeeping ------------------------------------------------
     @staticmethod
@@ -148,6 +209,7 @@ class TapeRecorder:
         op = _op_name(backward)
         parent_vids = tuple(self._vid_for(p) for p in parents)
         vid = self._register(out.data, op=op, parents=parent_vids)
+        self.nodes.append(vid)
         retain_vids = []
         for arr in out.backward_retains:
             rid = self._vid_by_array.get(id(arr))
@@ -172,7 +234,7 @@ class TapeRecorder:
     def recording(self) -> Iterator["TapeRecorder"]:
         """Intercept ``Tensor._make`` + ``tape_mark`` inside the block.
 
-        Process-global like the shape checker's patch — do not record
+        Process-global (the patch is on the class) — do not record
         concurrently with other tape work.
         """
         original = Tensor.__dict__["_make"].__func__
@@ -195,6 +257,39 @@ class TapeRecorder:
         finally:
             Tensor._make = staticmethod(original)
             set_tape_observer(None)
+
+    @contextmanager
+    def localized(self) -> Iterator["TapeRecorder"]:
+        """:meth:`recording`, re-raising any failure as :meth:`localize` does."""
+        try:
+            with self.recording():
+                yield self
+        except Exception as exc:  # any kernel failure, re-raised localized
+            raise self.localize(exc) from exc
+
+    # -- failure localization ----------------------------------------------
+    def trace_tail(self, n: int = 5) -> str:
+        """The last ``n`` recorded nodes as ``op[parent shapes] -> shape``."""
+        values = self.graph.values
+        return "\n".join(
+            f"  {values[vid].op}{[values[p].shape for p in values[vid].parents]}"
+            f" -> {values[vid].shape}"
+            for vid in self.nodes[-n:]
+        )
+
+    def localize(self, exc: Exception) -> ShapeCheckError:
+        """``exc``, raised while recording, as a :class:`ShapeCheckError`."""
+        if isinstance(exc, ModelError):
+            return ShapeCheckError(
+                "forward-precondition", str(exc), (), self.trace_tail()
+            )
+        frame = _failing_frame(exc.__traceback__)
+        return ShapeCheckError(
+            frame.f_code.co_name.strip("_"),
+            f"{type(exc).__name__}: {exc}",
+            _operand_shapes(frame),
+            self.trace_tail(),
+        )
 
     # -- post-hoc obligations ---------------------------------------------
     def mark_loss(self, loss: Tensor) -> None:
@@ -279,11 +374,15 @@ def record_fused_step(
     Returns:
         A :class:`RecordedStep`; the tape itself is torn down before
         return so escape detection is already resolved.
+
+    Raises:
+        ShapeCheckError: The forward or backward raised; the error names
+            the failing op, its operand shapes and the trace tail.
     """
     from ...training.loss import huber_loss
 
     recorder = TapeRecorder()
-    with recorder.recording():
+    with recorder.localized():
         out = model.forward(inputs, training=False)
         loss = huber_loss(out, targets)
         recorder.mark_output(out)

@@ -150,8 +150,7 @@ class RouteNet(nn.Module):
         Returns:
             A :class:`~repro.results.PredictResult` with ``delay`` (and
             ``jitter`` when the model has 2 targets) arrays ordered like
-            ``inputs.pairs``.  Dict-style access (``result["delay"]``) keeps
-            working as a deprecation shim.
+            ``inputs.pairs``.
         """
         with nn.no_grad():
             encoded = self.forward(inputs, training=False).numpy()

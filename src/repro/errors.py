@@ -16,7 +16,6 @@ __all__ = [
     "DeadlineExceededError",
     "RunnerError",
     "AnalysisError",
-    "ReproDeprecationWarning",
 ]
 
 
@@ -95,12 +94,3 @@ class RunnerError(ReproError):
 class AnalysisError(ReproError):
     """Static-analysis failure (lint crash, shape mismatch, bad gradient)."""
 
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation warning raised by this library's compatibility shims.
-
-    A distinct subclass so the repo's own test suite can promote *repro*
-    deprecations to errors (``filterwarnings`` in ``pyproject.toml``) without
-    also erroring on third-party ``DeprecationWarning`` noise.  External
-    callers filtering plain ``DeprecationWarning`` still catch it.
-    """

@@ -3,31 +3,18 @@
 Historically ``Trainer.evaluate`` and ``RouteNet.predict`` returned ad-hoc
 nested dicts (``{"delay": {...}, "jitter": {...}}`` / ``{"delay": array}``)
 whose optional keys every caller had to re-discover.  These dataclasses are
-the single return shape used everywhere now; dict-style access (``result
-["delay"]``, ``"jitter" in result``) keeps working as a thin deprecation shim
-so existing code migrates at its own pace.
+the single return shape used everywhere now: read fields as attributes
+(``result.delay.mre``), list the present targets with ``targets()`` and
+convert with ``to_dict()``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import ReproDeprecationWarning
-
 __all__ = ["Metrics", "EvalResult", "PredictResult"]
-
-
-def _warn_dict_access(kind: str) -> None:
-    warnings.warn(
-        f"dict-style access to {kind} is deprecated; use attribute access "
-        f"(e.g. result.delay) instead",
-        ReproDeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -47,19 +34,6 @@ class Metrics:
 
     def to_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    # -- deprecation shim: metrics["mre"] --------------------------------
-    def __getitem__(self, key: str) -> float:
-        if key not in self.__dataclass_fields__:
-            raise KeyError(key)
-        _warn_dict_access("Metrics")
-        return getattr(self, key)
-
-    def keys(self) -> Iterator[str]:
-        return iter(self.__dataclass_fields__)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -81,26 +55,6 @@ class EvalResult:
     def targets(self) -> tuple[str, ...]:
         """Names of the targets present in this result."""
         return ("delay",) if self.jitter is None else ("delay", "jitter")
-
-    # -- deprecation shim: result["delay"]["mre"], result.items() --------
-    def __getitem__(self, key: str) -> Metrics:
-        value = {"delay": self.delay, "jitter": self.jitter}.get(key)
-        if value is None:
-            raise KeyError(key)
-        _warn_dict_access("EvalResult")
-        return value
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.targets()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.targets())
-
-    def keys(self) -> Iterator[str]:
-        return iter(self.targets())
-
-    def items(self) -> Iterator[tuple[str, Metrics]]:
-        return ((name, getattr(self, name)) for name in self.targets())
 
 
 @dataclass(frozen=True)
@@ -130,20 +84,3 @@ class PredictResult:
         if self.jitter is not None:
             out["jitter"] = self.jitter
         return out
-
-    # -- deprecation shim: pred["delay"], "jitter" in pred ---------------
-    def __getitem__(self, key: str) -> np.ndarray:
-        value = {"delay": self.delay, "jitter": self.jitter}.get(key)
-        if value is None:
-            raise KeyError(key)
-        _warn_dict_access("PredictResult")
-        return value
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.targets()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.targets())
-
-    def keys(self) -> Iterator[str]:
-        return iter(self.targets())

@@ -487,9 +487,7 @@ class Trainer:
             when the model has a second target AND at least one evaluated
             pair has a positive ground-truth jitter (the zero-jitter filter
             can legitimately leave nothing to score, e.g. on deterministic
-            traffic — ``jitter`` is ``None`` then, not a crash).  Dict-style
-            access (``result["delay"]["mre"]``) keeps working as a
-            deprecation shim.
+            traffic — ``jitter`` is ``None`` then, not a crash).
         """
         if not samples:
             raise ModelError("cannot evaluate an empty sample list")

@@ -9,6 +9,7 @@ at runtime by the instrumented wrappers.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -49,6 +50,28 @@ class TestEraserStateMachine:
         assert any(r["object"].endswith(".value") for r in races)
         with pytest.raises(AssertionError, match="race candidate"):
             tsan_runtime.assert_race_free()
+
+    def test_sequential_threads_unguarded_writes_race(self, tsan_runtime):
+        """Thread idents are reused once a thread exits; owners must not be.
+
+        The second thread starts only after the first has joined and its
+        OS thread has exited, so the two usually share
+        ``threading.get_ident()``.  Each still counts as its own owner, and
+        the unguarded write from the second is a race.
+        """
+        box = Box()
+
+        def mutate():
+            tsan.note_access(box, "value", "write")
+            box.value += 1
+
+        for _ in range(2):
+            worker = threading.Thread(target=mutate)
+            worker.start()
+            worker.join()
+            time.sleep(0.01)  # join returns before the OS thread is gone
+        races = tsan_runtime.races()
+        assert [r["object"] for r in races] == ["Box.value"]
 
     def test_consistently_guarded_writes_are_race_free(self, tsan_runtime):
         box = Box()

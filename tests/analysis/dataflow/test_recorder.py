@@ -3,9 +3,9 @@
 import json
 
 import numpy as np
-import pytest
 
 from repro import nn
+from repro.analysis import TopologySignature
 from repro.analysis.dataflow import (
     RecordedStep,
     TapeRecorder,
@@ -14,7 +14,6 @@ from repro.analysis.dataflow import (
     run_dataflow,
     tape_arena_plan,
 )
-from repro.analysis.shapes import TopologySignature
 from repro.core import HyperParams, RouteNet
 
 

@@ -80,7 +80,7 @@ def fake_tree(monkeypatch, tmp_path):
 
 
 def run_json(capsys, argv):
-    rc = driver.main([*argv, "--format", "json", "--no-shapes"])
+    rc = driver.main([*argv, "--format", "json"])
     return rc, json.loads(capsys.readouterr().out)
 
 
@@ -89,7 +89,8 @@ class TestFormats:
         fake_tree(CLEAN)
         rc, payload = run_json(capsys, [])
         assert rc == 0
-        assert set(payload) >= {"findings", "lint", "counts", "elapsed_seconds"}
+        assert set(payload) >= {"findings", "counts", "elapsed_seconds"}
+        assert not {"lint", "shapes"} & set(payload)
         assert payload["counts"] == {"errors": 0, "warnings": 0}
         assert payload["findings"] == []
 
@@ -103,15 +104,9 @@ class TestFormats:
         assert finding["path"].endswith("proj/bad.py")
         assert {"line", "col", "message"} <= set(finding)
 
-    def test_deprecated_json_flag(self, fake_tree, capsys):
-        fake_tree(CLEAN)
-        rc = driver.main(["--json", "--no-shapes"])
-        payload = json.loads(capsys.readouterr().out)
-        assert rc == 0 and payload["counts"]["errors"] == 0
-
     def test_github_annotations(self, fake_tree, capsys):
         fake_tree(MIXED_UNITS)
-        rc = driver.main(["--format", "github", "--no-shapes"])
+        rc = driver.main(["--format", "github"])
         out = capsys.readouterr().out
         assert rc == 0
         lines = [ln for ln in out.splitlines() if ln.startswith("::error ")]
@@ -121,14 +116,14 @@ class TestFormats:
 
     def test_github_warning_level(self, fake_tree, capsys):
         fake_tree(COLD_ALLOC)
-        driver.main(["--format", "github", "--no-shapes"])
+        driver.main(["--format", "github"])
         out = capsys.readouterr().out
         assert any(ln.startswith("::warning ") and "RP402" in ln
                    for ln in out.splitlines())
 
     def test_text_hides_warnings_by_default(self, fake_tree, capsys):
         fake_tree(COLD_ALLOC)
-        rc = driver.main(["--strict", "--no-shapes"])
+        rc = driver.main(["--strict"])
         out = capsys.readouterr().out
         assert rc == 0  # warnings never gate, even under --strict
         assert "warning(s) hidden" in out
@@ -136,7 +131,7 @@ class TestFormats:
 
     def test_text_show_warnings(self, fake_tree, capsys):
         fake_tree(COLD_ALLOC)
-        driver.main(["--show-warnings", "--no-shapes"])
+        driver.main(["--show-warnings"])
         out = capsys.readouterr().out
         assert "RP402" in out
 
@@ -144,27 +139,27 @@ class TestFormats:
 class TestExitCodes:
     def test_strict_gates_on_errors(self, fake_tree, capsys):
         fake_tree(MIXED_UNITS)
-        assert driver.main(["--strict", "--no-shapes"]) == 1
+        assert driver.main(["--strict"]) == 1
         capsys.readouterr()
 
     def test_non_strict_reports_but_passes(self, fake_tree, capsys):
         fake_tree(MIXED_UNITS)
-        assert driver.main(["--no-shapes"]) == 0
+        assert driver.main([]) == 0
         assert "non-strict" in capsys.readouterr().out
 
     def test_unknown_rule_is_config_error(self, fake_tree, capsys):
         fake_tree(CLEAN)
-        assert driver.main(["--rules", "RP999", "--no-shapes"]) == 2
+        assert driver.main(["--rules", "RP999"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
     def test_unparsable_source_is_config_error(self, fake_tree, capsys):
         fake_tree({"broken.py": "def nope(:\n"})
-        assert driver.main(["--no-shapes"]) == 2
+        assert driver.main([]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
     def test_max_seconds_budget_failure(self, fake_tree, capsys):
         fake_tree(CLEAN)
-        assert driver.main(["--no-shapes", "--max-seconds", "0.0"]) == 1
+        assert driver.main(["--max-seconds", "0.0"]) == 1
         assert "budget" in capsys.readouterr().err
 
 
@@ -287,12 +282,12 @@ class TestRealTree:
         Includes the tape dataflow pass (RP6xx) recording the real model —
         the repo's own tape must be free of RP601/RP602/RP603 findings.
         """
-        assert driver.main(["--strict", "--no-shapes"]) == 0
+        assert driver.main(["--strict"]) == 0
         capsys.readouterr()
 
     def test_dataflow_payload_and_flag(self, capsys):
         rc = driver.main(
-            ["--format", "json", "--no-shapes", "--no-flow", "--no-lint"]
+            ["--format", "json", "--no-flow", "--no-lint"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -304,8 +299,41 @@ class TestRealTree:
             assert proof["pairs_checked"] >= proof["live_pairs"]
 
         rc = driver.main([
-            "--format", "json", "--no-shapes", "--no-flow", "--no-lint",
+            "--format", "json", "--no-flow", "--no-lint",
             "--no-dataflow",
         ])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0 and "dataflow" not in payload
+
+    def test_forward_failure_is_one_rp605_per_family(self, monkeypatch, capsys):
+        """A kernel bug fails --strict with one localized finding per family.
+
+        The transposed path-cell input raises a raw numpy ValueError inside
+        ``GRUCell.precompute_input``; ``main`` must report it, not crash.
+        """
+        from repro.analysis import paper_signatures
+        from repro.core import HyperParams
+        from repro.nn.rnn import GRUCell
+
+        original = GRUCell.precompute_input
+        monkeypatch.setattr(
+            GRUCell, "precompute_input", lambda self, x: original(self, x.T)
+        )
+        rc = driver.main(
+            ["--strict", "--no-lint", "--no-flow", "--format", "json"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        rp605 = [f for f in payload["findings"] if f["code"] == "RP605"]
+        signatures = paper_signatures()
+        assert sorted(f["path"] for f in rp605) == sorted(
+            f"<tape:{family}>" for family in signatures
+        )
+        state_dim = HyperParams().link_state_dim
+        for finding in rp605:
+            family = finding["path"][len("<tape:"):-1]
+            assert finding["severity"] == "error"
+            assert "precompute_input" in finding["message"]
+            transposed = (state_dim, signatures[family].num_links)
+            assert f"operand shapes: {transposed}" in finding["message"]
+            assert "last ops before failure" in finding["message"]

@@ -1,19 +1,19 @@
-"""Shape-checker tests: the paper topologies pass, injected bugs localize."""
+"""Model-check tests: the paper topologies pass, injected bugs localize.
+
+``check_model`` runs the real forward under the tape recorder, so each
+injected bug raises from the kernel that has it and is reported by name.
+"""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
     PAPER_SIGNATURE_NAMES,
-    ShapeCheckError,
-    ShapeTensor,
     TopologySignature,
-    abstract_graph,
     check_model,
     paper_signatures,
 )
 from repro.core import HyperParams, RouteNet
-from repro.nn import ops
 
 
 @pytest.fixture(scope="module")
@@ -96,67 +96,41 @@ class TestInjectedBug:
 
 
 # ----------------------------------------------------------------------
-# ShapeTensor semantics
+# Bounds and fused-cell kernels are checked by execution
 # ----------------------------------------------------------------------
-class TestShapeTensor:
-    def test_broadcast_add(self):
-        a = ShapeTensor((4, 1))
-        b = ShapeTensor((1, 5))
-        assert (a + b).shape == (4, 5)
+class TestConcreteBounds:
+    def test_out_of_range_link_id_is_localized_to_gather(self, model):
+        link_indices = np.array([[0, 1, -1], [1, 7, 0], [2, -1, -1]], dtype=np.intp)
+        sig = TopologySignature(
+            name="bad-link-id",
+            num_nodes=4,
+            num_links=3,
+            num_paths=3,
+            link_indices=link_indices,
+            mask=link_indices >= 0,
+        )
+        report = check_model(model, sig)  # no raw IndexError escapes
+        assert not report.ok
+        assert report.failed_op == "gather"
+        # The gathered (links, 3 * path_state) gate block and the id vector.
+        gates = (sig.num_links, 3 * model.hparams.path_state_dim)
+        assert gates in report.failed_operands
+        assert "IndexError" in report.error
+        assert report.trace_tail
 
-    def test_incompatible_broadcast_raises(self):
-        with pytest.raises(ShapeCheckError, match="add"):
-            ShapeTensor((4, 3)) + ShapeTensor((4, 2))
-
-    def test_matmul_inner_dim(self):
-        assert (ShapeTensor((3, 4)) @ ShapeTensor((4, 5))).shape == (3, 5)
-        with pytest.raises(ShapeCheckError, match="matmul"):
-            ShapeTensor((3, 4)) @ ShapeTensor((5, 6))
-
-    def test_getitem_slices(self):
-        t = ShapeTensor((7, 9))
-        assert t[:, 3:6].shape == (7, 3)
-        assert t[0].shape == (9,)
-
-    def test_reductions(self):
-        t = ShapeTensor((4, 5))
-        assert t.sum().shape == ()
-        assert t.mean(axis=0).shape == (5,)
-        assert t.sum(axis=1, keepdims=True).shape == (4, 1)
-
-    def test_numerics_are_refused(self):
-        t = ShapeTensor((2, 2))
-        with pytest.raises(ShapeCheckError):
-            t.numpy()
-        with pytest.raises(ShapeCheckError):
-            t.backward()
-
-
-# ----------------------------------------------------------------------
-# The abstract op layer
-# ----------------------------------------------------------------------
-class TestAbstractGraph:
-    def test_ops_are_patched_and_restored(self):
-        real_gather = ops.gather
-        with abstract_graph():
-            assert ops.gather is not real_gather
-            out = ops.segment_sum(
-                ShapeTensor((6, 3)), np.zeros(6, dtype=int), num_segments=4
-            )
-            assert out.shape == (4, 3)
-        assert ops.gather is real_gather
-
-    def test_gather_bounds_checked(self):
-        with abstract_graph():
-            with pytest.raises(ShapeCheckError, match="gather"):
-                ops.gather(ShapeTensor((5, 3)), np.array([0, 7]))
-
-    def test_segment_ids_length_checked(self):
-        with abstract_graph():
-            with pytest.raises(ShapeCheckError, match="segment_sum"):
-                ops.segment_sum(
-                    ShapeTensor((6, 3)), np.zeros(4, dtype=int), num_segments=2
-                )
+    def test_misshaped_cell_weight_is_localized_to_the_kernel(self, signatures):
+        model = RouteNet(HyperParams())
+        hp = model.hparams
+        good = model.path_cell.w.data
+        model.path_cell.w.data = np.zeros((hp.link_state_dim + 1, 3 * hp.path_state_dim))
+        try:
+            report = check_model(model, signatures["nsfnet"])
+        finally:
+            model.path_cell.w.data = good
+        assert not report.ok
+        assert report.failed_op == "precompute_input"
+        assert (hp.link_state_dim + 1, 3 * hp.path_state_dim) in report.failed_operands
+        assert (signatures["nsfnet"].num_links, hp.link_state_dim) in report.failed_operands
 
 
 # ----------------------------------------------------------------------

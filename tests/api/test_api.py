@@ -45,14 +45,6 @@ class TestEvaluate:
         assert result.jitter is not None
         assert result.delay.count == sum(s.num_pairs for s in tiny_samples)
 
-    def test_dict_style_access_still_works(self, trained, tiny_samples):
-        result = repro.evaluate(
-            trained.model, list(tiny_samples[:2]), scaler=trained.scaler
-        )
-        with pytest.warns(DeprecationWarning):
-            assert result["delay"]["mre"] == result.delay.mre
-        assert "jitter" in result
-
     def test_live_model_without_scaler_rejected(self, trained, tiny_samples):
         with pytest.raises(ModelError):
             repro.evaluate(trained.model, list(tiny_samples[:1]))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.analysis.shapes import paper_signatures
+from repro.analysis import paper_signatures
 from repro.core import HyperParams, RouteNet, build_model_input
 from repro.core.plan import build_plan
 from repro.errors import ModelError

@@ -173,7 +173,7 @@ class TestPredictAndCheckpoint:
         model = RouteNet(SMALL, seed=11)
         scaler = FeatureScaler(1.0, 1.0, 1.0, np.array([-2.0, -4.0]), np.array([0.5, 0.5]))
         pred = model.predict(inputs, scaler)
-        assert set(pred) == {"delay", "jitter"}
+        assert set(pred.targets()) == {"delay", "jitter"}
         assert (pred.delay > 0).all()
 
     def test_single_target_predict_has_no_jitter(self, inputs):
@@ -182,7 +182,7 @@ class TestPredictAndCheckpoint:
         model = RouteNet(hp, seed=12)
         scaler = FeatureScaler(1.0, 1.0, 1.0, np.zeros(1), np.ones(1))
         pred = model.predict(inputs, scaler)
-        assert "jitter" not in pred
+        assert "jitter" not in pred.targets()
 
     def test_save_load_roundtrip(self, inputs, tmp_path):
         model = RouteNet(SMALL, seed=13)

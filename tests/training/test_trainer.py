@@ -142,7 +142,7 @@ class TestEvaluatePredict:
         trainer = Trainer(RouteNet(hp, seed=0), seed=1)
         trainer.fit(tiny_samples, epochs=2)
         metrics = trainer.evaluate(tiny_samples)
-        assert "jitter" not in metrics
+        assert "jitter" not in metrics.targets()
 
     def test_evaluate_all_zero_jitter_returns_none(self, tiny_samples):
         """Regression: the zero-jitter filter can leave nothing to pool
