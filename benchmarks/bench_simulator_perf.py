@@ -7,7 +7,7 @@ benchmarks routing-scheme construction, the other dataset-generation cost.
 
 from repro.routing import RoutingScheme
 from repro.simulator import SimulationConfig, simulate
-from repro.topology import nsfnet
+from repro.topology import nsfnet, synthetic_topology
 from repro.traffic import scale_to_utilization, uniform_traffic
 
 from .conftest import report
@@ -33,3 +33,11 @@ def test_routing_scheme_construction(benchmark):
     topo = nsfnet()
     scheme = benchmark(lambda: RoutingScheme.random_weighted(topo, seed=7))
     assert len(scheme) == 182
+
+
+def test_random_ksp_construction(benchmark):
+    """Yen's 3-shortest paths for all 2,450 pairs of a 50-node network: the
+    costliest routing kind of dataset generation."""
+    topo = synthetic_topology(50, seed=50)
+    scheme = benchmark(lambda: RoutingScheme.random_ksp(topo, k=3, seed=7))
+    assert len(scheme) == 50 * 49

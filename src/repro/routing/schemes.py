@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import RoutingError
 from ..random import make_rng
 from ..topology import Topology
-from .ksp import k_shortest_paths
+from .ksp import iter_k_shortest_paths
 from .shortest_path import all_pairs_shortest_paths
 
 __all__ = ["RoutingScheme"]
@@ -98,8 +98,7 @@ class RoutingScheme:
         """Uniform random choice among each pair's k shortest loopless paths."""
         rng = make_rng(seed)
         paths: dict[tuple[int, int], list[int]] = {}
-        for pair in topology.node_pairs():
-            options = k_shortest_paths(topology, pair[0], pair[1], k)
+        for pair, options in iter_k_shortest_paths(topology, k):
             paths[pair] = options[int(rng.integers(0, len(options)))]
         return cls(topology, paths, name=f"random-{k}sp")
 

@@ -1,13 +1,11 @@
 """Packet-level discrete-event network simulator (OMNeT++ substitute)."""
 
-from .events import EventQueue
 from .packet import Packet
 from .queues import LinkQueue
 from .stats import FlowAccumulator, FlowStats, LinkStats, SimulationResult
 from .network import SimulationConfig, NetworkSimulator, simulate
 
 __all__ = [
-    "EventQueue",
     "Packet",
     "LinkQueue",
     "FlowAccumulator",

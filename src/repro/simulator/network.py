@@ -6,15 +6,19 @@ output queue per directed link, finite buffers (tail drop), configurable
 arrival processes and packet-size distributions, and per-flow delay/jitter
 statistics after a warm-up transient.
 
-Event types (encoded as small tuples for speed):
+Events live on one ``heapq`` as ``(time, seq, kind, link_or_flow, packet)``
+tuples.  ``seq`` grows with every push, so simultaneous events run in the
+order they were scheduled and the later fields are never compared.  The
+kinds are:
 
-* ``("gen", flow)`` — the flow's source emits its next packet;
-* ``("arr", link_id, packet)`` — a packet reaches the tail of a link queue;
-* ``("dep", link_id)`` — the link finishes serializing its head packet.
+* ``_GEN, flow`` — the flow's source emits its next packet;
+* ``_ARR, link_id, packet`` — a packet reaches the tail of a link queue;
+* ``_DEP, link_id`` — the link finishes serializing its head packet.
 """
 
 from __future__ import annotations
 
+import heapq
 import time as _time
 from dataclasses import dataclass
 
@@ -31,12 +35,13 @@ from ..traffic import (
     DEFAULT_MEAN_PACKET_BITS,
 )
 from ..units import BitsPerPacket, Seconds
-from .events import EventQueue
 from .packet import Packet
 from .queues import LinkQueue
 from .stats import FlowAccumulator, FlowStats, LinkStats, SimulationResult
 
 __all__ = ["SimulationConfig", "NetworkSimulator", "simulate"]
+
+_GEN, _ARR, _DEP = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -138,15 +143,16 @@ class NetworkSimulator:
         rngs = split_rng(master, 2 * len(flows))
 
         arrival_iters = []
-        sizers = []
+        samplers = []  # per-flow packet-size draws
         for i, (s, d) in enumerate(flows):
             rate_pps = self.traffic.rate(s, d) / cfg.mean_packet_bits
             process = make_arrivals(cfg.arrivals, rate_pps, seed=rngs[2 * i])
             arrival_iters.append(process.interarrivals())
             if cfg.packet_size == "exponential":
-                sizers.append(ExponentialPacketSize(cfg.mean_packet_bits, seed=rngs[2 * i + 1]))
+                sizer = ExponentialPacketSize(cfg.mean_packet_bits, seed=rngs[2 * i + 1])
             else:
-                sizers.append(ConstantPacketSize(cfg.mean_packet_bits))
+                sizer = ConstantPacketSize(cfg.mean_packet_bits)
+            samplers.append(sizer.sample)
 
         queues = [
             LinkQueue(
@@ -179,63 +185,74 @@ class NetworkSimulator:
         flow_drops_total = [0] * len(flows)
         flow_delivered_total = [0] * len(flows)
 
-        events = EventQueue()
+        heap: list[tuple] = []
+        push, pop = heapq.heappush, heapq.heappop
+        seq = 0
         for i, it in enumerate(arrival_iters):
-            events.push(next(it), ("gen", i))
+            push(heap, (next(it), seq, _GEN, i, None))
+            seq += 1
 
         generated = delivered = dropped = 0
         processed = 0
-        links = self.topology.links
+        now = 0.0
+        duration, warmup = cfg.duration, cfg.warmup
+        propagation = [link.propagation_delay for link in self.topology.links]
 
-        while events:
-            now, event = events.pop()
+        while heap:
+            when, _, kind, ident, packet = pop(heap)
+            if when < now:
+                # Every other event is due at or after ``now``, so an event
+                # scheduled in the past is popped right after the one that
+                # scheduled it.
+                raise SimulationError(
+                    f"event scheduled at t={when} before current time t={now}"
+                )
+            now = when
             processed += 1
-            kind = event[0]
 
-            if kind == "gen":
-                flow = event[1]
-                if now > cfg.duration:
+            if kind == _GEN:
+                if now > duration:
                     continue  # generation window closed; do not reschedule
+                route = routes[ident]
                 packet = Packet(
-                    flow=flow,
-                    size_bits=sizers[flow].sample(),
-                    created_at=now,
-                    route=routes[flow],
-                    record=now >= cfg.warmup,
-                    priority=priorities[flow],
+                    ident, samplers[ident](), now, route, 0, now >= warmup,
+                    priorities[ident],
                 )
                 generated += 1
-                events.push(now, ("arr", packet.current_link(), packet))
-                events.push(now + next(arrival_iters[flow]), ("gen", flow))
+                push(heap, (now, seq, _ARR, route[0], packet))
+                push(heap, (now + next(arrival_iters[ident]), seq + 1, _GEN, ident, None))
+                seq += 2
 
-            elif kind == "arr":
-                link_id, packet = event[1], event[2]
-                queue = queues[link_id]
+            elif kind == _ARR:
+                queue = queues[ident]
                 if queue.try_enqueue(packet):
                     if queue.is_idle:
                         _, done_at = queue.start_service(now)
-                        events.push(done_at, ("dep", link_id))
+                        push(heap, (done_at, seq, _DEP, ident, None))
+                        seq += 1
                 else:
                     dropped += 1
                     flow_drops_total[packet.flow] += 1
                     if packet.record:
                         flow_drops[packet.flow] += 1
 
-            else:  # "dep"
-                link_id = event[1]
-                queue = queues[link_id]
+            else:  # _DEP
+                queue = queues[ident]
                 packet = queue.finish_service(now)
-                arrive_at = now + links[link_id].propagation_delay
-                if packet.advance():
+                arrive_at = now + propagation[ident]
+                packet.hop += 1
+                if packet.hop == len(packet.route):
                     delivered += 1
                     flow_delivered_total[packet.flow] += 1
                     if packet.record:
                         accumulators[packet.flow].add(arrive_at - packet.created_at)
                 else:
-                    events.push(arrive_at, ("arr", packet.current_link(), packet))
+                    push(heap, (arrive_at, seq, _ARR, packet.route[packet.hop], packet))
+                    seq += 1
                 if queue.has_waiting():
                     _, done_at = queue.start_service(now)
-                    events.push(done_at, ("dep", link_id))
+                    push(heap, (done_at, seq, _DEP, ident, None))
+                    seq += 1
 
         in_flight = generated - delivered - dropped
         if in_flight != 0:

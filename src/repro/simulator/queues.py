@@ -51,6 +51,9 @@ class LinkQueue:
         self.horizon = horizon
         self._bands: list[deque[Packet]] = [deque() for _ in range(priority_bands)]
         self._in_service: Packet | None = None
+        # Packets held (in service + waiting), kept in step with the bands
+        # so the per-arrival buffer check is O(1).
+        self._held = 0
         # Counters for utilization / occupancy statistics.  ``busy_time`` is
         # horizon-clipped (see above); the throughput counters below cover
         # the whole run including the drain phase.
@@ -62,20 +65,11 @@ class LinkQueue:
     @property
     def occupancy(self) -> int:
         """Packets currently held (in service + waiting)."""
-        waiting = sum(len(band) for band in self._bands)
-        return waiting + (1 if self._in_service is not None else 0)
+        return self._held
 
     @property
     def is_idle(self) -> bool:
         return self._in_service is None
-
-    def _band_for(self, packet: Packet) -> deque[Packet]:
-        if not 0 <= packet.priority < self.priority_bands:
-            raise SimulationError(
-                f"packet priority {packet.priority} outside "
-                f"[0, {self.priority_bands})"
-            )
-        return self._bands[packet.priority]
 
     def try_enqueue(self, packet: Packet) -> bool:
         """Accept or tail-drop ``packet``; returns True if accepted.
@@ -83,11 +77,16 @@ class LinkQueue:
         The caller is responsible for starting transmission (via
         :meth:`start_service`) when the queue was idle.
         """
-        band = self._band_for(packet)
-        if self.occupancy >= self.buffer_packets:
+        priority = packet.priority
+        if not 0 <= priority < self.priority_bands:
+            raise SimulationError(
+                f"packet priority {priority} outside [0, {self.priority_bands})"
+            )
+        if self._held >= self.buffer_packets:
             self.packets_dropped += 1
             return False
-        band.append(packet)
+        self._bands[priority].append(packet)
+        self._held += 1
         return True
 
     def start_service(self, now: Seconds) -> tuple[Packet, float]:
@@ -122,12 +121,18 @@ class LinkQueue:
             raise SimulationError(f"link {self.link.id} finished service while idle")
         packet = self._in_service
         self._in_service = None
+        self._held -= 1
         service_time = packet.size_bits / self.link.capacity
         if self.horizon is None:
             self.busy_time += service_time
         else:
+            # max(0.0, min(now, horizon) - max(started, 0.0)), spelled out
+            # without the calls; adding a zero span would change nothing.
             started = now - service_time
-            self.busy_time += max(0.0, min(now, self.horizon) - max(started, 0.0))
+            end = self.horizon if self.horizon < now else now
+            span = end - (0.0 if started < 0.0 else started)
+            if span > 0.0:
+                self.busy_time += span
         self.bits_sent += packet.size_bits
         self.packets_sent += 1
         return packet

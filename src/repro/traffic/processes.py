@@ -29,6 +29,12 @@ __all__ = [
 
 DEFAULT_MEAN_PACKET_BITS: BitsPerPacket = 1_000.0
 
+#: Values the Poisson and exponential-size streams draw per numpy call.
+#: A vector ``exponential`` yields the same sequence as repeated scalar
+#: calls, so the block size changes speed only, never a value.  It stays
+#: small because every simulated flow holds one block of each.
+STREAM_BLOCK = 64
+
 
 class ArrivalProcess(Protocol):
     """Yields successive packet inter-arrival times (seconds)."""
@@ -58,7 +64,7 @@ class PoissonArrivals:
     def interarrivals(self) -> Iterator[Seconds]:
         scale = 1.0 / self.mean_rate
         while True:
-            yield float(self._rng.exponential(scale))
+            yield from self._rng.exponential(scale, STREAM_BLOCK).tolist()
 
 
 class DeterministicArrivals:
@@ -135,9 +141,13 @@ class ExponentialPacketSize:
             raise TrafficError(f"mean packet size must be positive, got {mean_bits}")
         self.mean_bits = mean_bits
         self._rng = make_rng(seed)
+        self._block: list[float] = []  # drawn sizes, next one last
 
     def sample(self) -> Bits:
-        return max(1.0, float(self._rng.exponential(self.mean_bits)))
+        if not self._block:
+            sizes = np.maximum(self._rng.exponential(self.mean_bits, STREAM_BLOCK), 1.0)
+            self._block = sizes.tolist()[::-1]
+        return self._block.pop()
 
 
 class ConstantPacketSize:

@@ -1,14 +1,10 @@
-"""Cross-cutting odds and ends: CLI helpers, serialization guards,
-event-queue ordering property."""
+"""Cross-cutting odds and ends: CLI helpers and serialization guards."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import nn
 from repro.cli.commands import _resolve_topology
-from repro.simulator import EventQueue
 
 
 class TestResolveTopology:
@@ -40,21 +36,3 @@ class TestSerializationGuards:
         _, meta = nn.load_state(path)
         assert meta["note"] == "Geant2 — ünïcode"
 
-
-class TestEventQueueProperty:
-    @given(times=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50))
-    @settings(max_examples=30, deadline=None)
-    def test_pops_in_nondecreasing_time_order(self, times):
-        q = EventQueue()
-        for i, t in enumerate(times):
-            q.push(t, i)
-        popped = [q.pop()[0] for _ in range(len(times))]
-        assert popped == sorted(popped)
-
-    @given(n=st.integers(1, 30))
-    @settings(max_examples=20, deadline=None)
-    def test_equal_times_preserve_insertion_order(self, n):
-        q = EventQueue()
-        for i in range(n):
-            q.push(1.0, i)
-        assert [q.pop()[1] for _ in range(n)] == list(range(n))

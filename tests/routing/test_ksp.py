@@ -56,6 +56,21 @@ class TestKsp:
         with pytest.raises(RoutingError, match="unreachable"):
             k_shortest_paths(topo, 0, 2, k=2)
 
+    @pytest.mark.parametrize("target", [-1, 14, 99])
+    def test_target_out_of_range_raises(self, target):
+        with pytest.raises(RoutingError, match=f"target node {target} outside"):
+            k_shortest_paths(nsfnet(), 0, target, 3)
+
+    def test_nan_weights_raise(self):
+        topo = nsfnet()
+        with pytest.raises(RoutingError, match="NaN"):
+            k_shortest_paths(topo, 0, 5, 3, np.full(topo.num_links, np.nan))
+
+    def test_negative_weights_raise(self):
+        topo = nsfnet()
+        with pytest.raises(RoutingError, match="negative"):
+            k_shortest_paths(topo, 0, 5, 3, -np.ones(topo.num_links))
+
     def test_matches_networkx_hop_counts_on_nsfnet(self):
         topo = nsfnet()
         g = topo.to_networkx()

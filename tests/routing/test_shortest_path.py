@@ -71,6 +71,26 @@ class TestDijkstra:
 
 
 class TestShortestPath:
+    @pytest.mark.parametrize("target", [-1, 14, 99])
+    def test_target_out_of_range_raises(self, target):
+        with pytest.raises(RoutingError, match=f"target node {target} outside"):
+            shortest_path(nsfnet(), 0, target)
+
+    def test_nan_weight_raises(self):
+        topo = nsfnet()
+        w = np.ones(topo.num_links)
+        w[0] = np.nan
+        with pytest.raises(RoutingError, match="NaN"):
+            shortest_path(topo, 0, 1, w)
+        with pytest.raises(RoutingError, match="NaN"):
+            dijkstra(topo, 0, w)
+
+    def test_infinite_weight_means_unusable_link(self):
+        topo = Topology.from_edges(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
+        w = np.ones(topo.num_links)
+        w[topo.link_id(0, 1)] = np.inf
+        assert shortest_path(topo, 0, 2, w) == [0, 3, 2]
+
     def test_same_endpoints_raise(self):
         with pytest.raises(RoutingError):
             shortest_path(line(), 1, 1)

@@ -15,7 +15,7 @@ from repro.queueing import mm1_mean_delay
 from repro.routing import RoutingScheme
 from repro.simulator import NetworkSimulator, SimulationConfig, simulate
 from repro.topology import Topology, nsfnet
-from repro.traffic import TrafficMatrix, uniform_traffic, scale_to_utilization
+from repro.traffic import TrafficMatrix, processes, scale_to_utilization, uniform_traffic
 
 
 def two_node(capacity=10_000.0) -> Topology:
@@ -62,6 +62,41 @@ class TestBasicRuns:
         routing = RoutingScheme.shortest_path(topo)
         with pytest.raises(SimulationError):
             NetworkSimulator(topo, routing, one_flow_tm(3, 0, 1, 100.0))
+
+    def test_event_scheduled_in_the_past_raises(self, monkeypatch):
+        class Backwards:
+            mean_rate = 1.0
+
+            def __init__(self, rate_pps, seed=None):
+                pass
+
+            def interarrivals(self):
+                yield 1.0
+                yield -5.0
+
+        monkeypatch.setitem(processes._ARRIVALS, "poisson", Backwards)
+        topo = two_node()
+        routing = RoutingScheme.shortest_path(topo)
+        with pytest.raises(SimulationError, match="before current time t=1.0"):
+            simulate(topo, routing, one_flow_tm(2, 0, 1, 3_000.0))
+
+    def test_simultaneous_events_run_in_schedule_order(self):
+        """Flows 0->1 and 0->2 emit at the same instants onto link 0->1.
+        Flow 0->1 is scheduled first at every instant, so it is always
+        served first and never waits."""
+        topo = Topology.from_edges(3, [(0, 1), (1, 2)], capacity=10_000.0)
+        routing = RoutingScheme.shortest_path(topo)
+        rates = np.zeros((3, 3))
+        rates[0, 1] = rates[0, 2] = 1_000.0
+        cfg = SimulationConfig(
+            duration=20.0, warmup=1.0, arrivals="deterministic",
+            packet_size="constant", seed=0,
+        )
+        res = simulate(topo, routing, TrafficMatrix(rates), cfg)
+        service = cfg.mean_packet_bits / 10_000.0
+        first, second = res.flows[(0, 1)], res.flows[(0, 2)]
+        assert first.max_delay == pytest.approx(service)
+        assert second.min_delay == pytest.approx(3 * service)
 
     def test_deterministic_under_seed(self):
         topo = nsfnet()

@@ -33,6 +33,22 @@ class TestLinkQueue:
         q.try_enqueue(make_packet())
         assert q.occupancy == 2
 
+    def test_held_count_follows_enqueue_drop_and_service(self):
+        q = make_queue(buffer_packets=2)
+        assert q.occupancy == 0 and not q.has_waiting()
+        q.try_enqueue(make_packet())
+        q.try_enqueue(make_packet())
+        assert not q.try_enqueue(make_packet())  # dropped: count unchanged
+        assert q.occupancy == 2
+        q.start_service(0.0)
+        assert q.occupancy == 2 and q.has_waiting()
+        q.finish_service(0.5)
+        assert q.occupancy == 1 and q.has_waiting()
+        q.start_service(0.5)
+        assert q.occupancy == 1 and not q.has_waiting()
+        q.finish_service(1.0)
+        assert q.occupancy == 0 and not q.has_waiting()
+
     def test_service_time_is_size_over_capacity(self):
         q = make_queue(capacity=1000.0)
         q.try_enqueue(make_packet(size=500.0))

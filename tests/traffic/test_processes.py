@@ -39,6 +39,31 @@ class TestPoisson:
         assert a == b
 
 
+class TestBlockDraws:
+    """The Poisson and exponential-size streams draw their values in blocks.
+    That is only output-neutral because numpy's vector ``exponential``
+    yields the same sequence as repeated scalar calls; a numpy release that
+    breaks this must fail here, not in the golden dataset digests."""
+
+    N = 1_000  # spans many block boundaries
+
+    def test_poisson_equals_scalar_draws(self):
+        rate = 37.5
+        stream = list(islice(PoissonArrivals(rate, seed=11).interarrivals(), self.N))
+        rng = np.random.default_rng(11)
+        assert stream == [float(rng.exponential(1.0 / rate)) for _ in range(self.N)]
+
+    def test_packet_sizes_equal_scalar_draws(self):
+        # A small mean puts many raw draws below the 1-bit floor.
+        for mean in (1_000.0, 2.0):
+            sizer = ExponentialPacketSize(mean, seed=12)
+            drawn = [sizer.sample() for _ in range(self.N)]
+            rng = np.random.default_rng(12)
+            assert drawn == [
+                max(1.0, float(rng.exponential(mean))) for _ in range(self.N)
+            ]
+
+
 class TestDeterministic:
     def test_constant_gaps(self):
         gaps = list(islice(DeterministicArrivals(4.0).interarrivals(), 5))
